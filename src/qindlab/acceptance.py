@@ -38,13 +38,7 @@ class CriterionResult:
 
 
 def _distinct_keys(scheme: schemes.ClassicalScheme, count: int, seed: int) -> list:
-    rng = np.random.default_rng([0xACC, seed])
-    keys: list = []
-    while len(keys) < count:
-        k = scheme.gen(16, rng)
-        if k not in keys:
-            keys.append(k)
-    return keys
+    return games.distinct_keys(scheme, count, np.random.default_rng([0xACC, seed]))
 
 
 def _timed(number: int, name: str, body: Callable[[dict], bool], limit: float | None) -> CriterionResult:
@@ -64,7 +58,7 @@ def _timed(number: int, name: str, body: Callable[[dict], bool], limit: float | 
     return CriterionResult(number, name, bool(passed), elapsed, details)
 
 
-def criterion_1(jobs: int = 1) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Superposition-mask attack: exact rate 1 - 2^-(m+1), sampled confirmation."""
 
     def body(details: dict) -> bool:
@@ -86,7 +80,6 @@ def criterion_1(jobs: int = 1) -> CriterionResult:
             bz,
             trials=10_000,
             seed=1001,
-            jobs=jobs,
         )
         details["sampled_win_rate_m3"] = est.win_rate
         details["sampled_target"] = 0.9375
@@ -96,24 +89,26 @@ def criterion_1(jobs: int = 1) -> CriterionResult:
     return _timed(1, "bz exact rate and sampled confirmation", body, limit=10.0)
 
 
-def criterion_2(jobs: int = 1) -> CriterionResult:
-    """Core-interference attack wins every trial against the prf scheme."""
+def _forced_sweep(strategy: games.AdversaryStrategy, cases) -> Callable[[dict], bool]:
+    """Criterion body: play qind with every (key, r, b) forced; all must win.
+
+    cases: (m, key seed, trial rng tag) per prf scheme at tau = 2.
+    """
 
     def body(details: dict) -> bool:
-        qlp = attacks.qlp_distinguisher()
         trials = 0
         wins = 0
         worst = 1.0
-        for m in (1, 2, 3):
+        for m, key_seed, tag in cases:
             scheme = schemes.prf_scheme(m, 2)
-            for key in _distinct_keys(scheme, 8, seed=10 + m):
+            for key in _distinct_keys(scheme, 8, seed=key_seed):
                 for r in range(4):
-                    worst = min(worst, qlp.exact_win_probability(scheme, key, r))
+                    worst = min(worst, strategy.exact_win_probability(scheme, key, r))
                     for b in (0, 1):
                         out = games.run_qind_qcpa(
                             scheme,
-                            qlp,
-                            np.random.default_rng([m, int(key) & 0xFFFFFFFF, r, b]),
+                            strategy,
+                            np.random.default_rng([tag, int(key) & 0xFFFFFFFF, r, b]),
                             key=key,
                             challenge_bit=b,
                             challenge_randomness=r,
@@ -125,41 +120,22 @@ def criterion_2(jobs: int = 1) -> CriterionResult:
         details["min_exact_probability"] = worst
         return wins == trials and worst >= 1.0 - 1e-12
 
+    return body
+
+
+def criterion_2() -> CriterionResult:
+    """Core-interference attack wins every trial against the prf scheme."""
+    body = _forced_sweep(attacks.qlp_distinguisher(), [(m, 10 + m, m) for m in (1, 2, 3)])
     return _timed(2, "qlp wins every trial vs prf", body, limit=30.0)
 
 
-def criterion_3(jobs: int = 1) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Single-wire probe is perfect at one-bit messages."""
-
-    def body(details: dict) -> bool:
-        probe = attacks.hadamard_bit_distinguisher()
-        scheme = schemes.prf_scheme(1, 2)
-        trials = 0
-        wins = 0
-        worst = 1.0
-        for key in _distinct_keys(scheme, 8, seed=3):
-            for r in range(4):
-                worst = min(worst, probe.exact_win_probability(scheme, key, r))
-                for b in (0, 1):
-                    out = games.run_qind_qcpa(
-                        scheme,
-                        probe,
-                        np.random.default_rng([3, int(key) & 0xFFFFFFFF, r, b]),
-                        key=key,
-                        challenge_bit=b,
-                        challenge_randomness=r,
-                    )
-                    trials += 1
-                    wins += out.win
-        details["forced_trials"] = trials
-        details["forced_wins"] = wins
-        details["min_exact_probability"] = worst
-        return wins == trials and worst >= 1.0 - 1e-12
-
+    body = _forced_sweep(attacks.hadamard_bit_distinguisher(), [(1, 3, 3)])
     return _timed(3, "hadamard-bit perfect at m=1", body, limit=None)
 
 
-def criterion_4(jobs: int = 1) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Exhaustive averaged channel at m=1, tau=1: coherence-block spectrum."""
 
     def body(details: dict) -> bool:
@@ -181,7 +157,7 @@ def criterion_4(jobs: int = 1) -> CriterionResult:
     return _timed(4, "chi_C spectrum (3c, -c, -c, -c), c = 1/12", body, limit=None)
 
 
-def criterion_5(jobs: int = 1) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Sampled-channel bound at m=1, tau=3 over 500 purified inputs."""
 
     def body(details: dict) -> bool:
@@ -195,7 +171,7 @@ def criterion_5(jobs: int = 1) -> CriterionResult:
     return _timed(5, "lemma bound 2^(2-tau) holds on sampled channel", body, limit=60.0)
 
 
-def criterion_6(jobs: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Taken-set bound holds; the empty taken set reproduces criterion 5."""
 
     def body(details: dict) -> bool:
@@ -218,7 +194,7 @@ def criterion_6(jobs: int = 1) -> CriterionResult:
     return _timed(6, "corollary bound with taken outputs", body, limit=None)
 
 
-def criterion_7(jobs: int = 1) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Ideal-permutation scheme at m=2, tau=4 resists every shipped adversary."""
 
     def body(details: dict) -> bool:
@@ -236,7 +212,7 @@ def criterion_7(jobs: int = 1) -> CriterionResult:
         ):
             wrapped = games.with_learning_queries(strategy, q)
             est = games.estimate_advantage(
-                games.run_qind_qcpa, scheme, wrapped, trials=5000, seed=777, jobs=jobs
+                games.run_qind_qcpa, scheme, wrapped, trials=5000, seed=777
             )
             threshold = bound + 2.0 * est.half_width
             details[f"advantage_{label}"] = est.advantage
@@ -247,7 +223,7 @@ def criterion_7(jobs: int = 1) -> CriterionResult:
     return _timed(7, "prp scheme within corollary bound (q=2)", body, limit=None)
 
 
-def criterion_8(jobs: int = 1) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Two-block scheme resists an entangled cross-block challenge."""
 
     def body(details: dict) -> bool:
@@ -256,7 +232,7 @@ def criterion_8(jobs: int = 1) -> CriterionResult:
         scheme = schemes.block_scheme(base, mu)
         probe = games.EntangledBlockProbe(mu)
         est = games.estimate_advantage(
-            games.run_gqind_qcpa, scheme, probe, trials=5000, seed=888, jobs=jobs
+            games.run_gqind_qcpa, scheme, probe, trials=5000, seed=888
         )
         bound = mu * channels.corollary_bound(m, tau, 0)
         threshold = bound + 2.0 * est.half_width
@@ -274,7 +250,7 @@ def _scheme_for(kind: str, m: int, tau: int) -> schemes.ClassicalScheme:
     return schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
 
 
-def criterion_9(jobs: int = 1) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Both oracle interconversion circuits reproduce the direct lifts."""
 
     def body(details: dict) -> bool:
@@ -285,15 +261,7 @@ def criterion_9(jobs: int = 1) -> CriterionResult:
                 scheme = _scheme_for(kind, m, tau)
                 for key in _distinct_keys(scheme, 8, seed=90 + m + tau):
                     for r in (0, 2**tau - 1):
-                        u2 = oracles.type2_unitary(scheme, key, r)
-                        direct1 = oracles.type1_unitary(scheme, key, r)
-                        built1 = oracles.type1_from_type2(u2)
-                        ok &= np.array_equal(built1.permutation, direct1.permutation)
-                        u1d = oracles.type1_decryption_unitary(scheme, key, r)
-                        built2 = oracles.type2_from_type1(direct1, u1d)
-                        ok &= np.array_equal(
-                            built2.type2_action_table(), u2.type2_action_table()
-                        )
+                        ok &= all(oracles.interconversions_match(scheme, key, r))
                         cases += 1
         details["cases"] = cases
         details["max_entrywise_deviation"] = 0.0 if ok else 1.0
@@ -302,7 +270,7 @@ def criterion_9(jobs: int = 1) -> CriterionResult:
     return _timed(9, "interconversion circuits match direct lifts", body, limit=None)
 
 
-def criterion_10(jobs: int = 1) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Adjoint of the in-place lift decrypts: |Enc(x)> -> |x, 0^tau>."""
 
     def body(details: dict) -> bool:
@@ -608,7 +576,7 @@ def property_battery() -> tuple[bool, dict]:
     return all(checks.values()), checks
 
 
-def criterion_11(jobs: int = 1) -> CriterionResult:
+def criterion_11() -> CriterionResult:
     """Condensed invariant battery across every module."""
 
     def body(details: dict) -> bool:
@@ -636,6 +604,6 @@ ALL_CRITERIA: tuple[Callable[..., CriterionResult], ...] = (
 SUITE_TIME_LIMIT = 300.0
 
 
-def run_all(jobs: int = 1) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     """Run the full battery; total runtime must stay under SUITE_TIME_LIMIT."""
-    return [fn(jobs=jobs) for fn in ALL_CRITERIA]
+    return [fn() for fn in ALL_CRITERIA]

@@ -290,10 +290,16 @@ def _certify(
     bound: float,
     samples: int,
     n_perm: int | None,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
+    seed: int | None,
 ) -> BoundReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if rng is None:
+        # exhaustive single-probe runs draw nothing; anything sampled is seeded
+        if seed is None and (n_perm is not None or samples > 1):
+            raise ValueError("sampled certification needs rng or seed")
+        rng = np.random.default_rng(seed)
     enc = avg_permutation_channel(message_bits, tau, taken, n_perm=n_perm, rng=rng)
     ideal = constant_mixed_channel(message_bits, tau, taken)
 
@@ -354,9 +360,7 @@ def certify_lemma_bound(
 ) -> BoundReport:
     """Check the taken-free bound 2^(2 - tau) on maximally entangled plus
     Haar-random probes; exhaustive injection enumeration when n_perm is None."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _certify(message_bits, tau, (), lemma_bound(tau), samples, n_perm, rng)
+    return _certify(message_bits, tau, (), lemma_bound(tau), samples, n_perm, rng, seed)
 
 
 def certify_corollary_bound(
@@ -372,8 +376,6 @@ def certify_corollary_bound(
     """Same certification with taken ciphertexts excluded and the bound
     4 / (2^tau - |T| / 2^m); with no taken set this reproduces the
     taken-free certification exactly."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     taken = tuple(taken)
     bound = corollary_bound(message_bits, tau, len(taken))
-    return _certify(message_bits, tau, taken, bound, samples, n_perm, rng)
+    return _certify(message_bits, tau, taken, bound, samples, n_perm, rng, seed)

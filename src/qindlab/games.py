@@ -1,6 +1,6 @@
 """Indistinguishability games against lifted encryption oracles.
 
-Four challengers, one per game:
+Four games:
 
 * ind:   quantum (type-1) learning queries, classical challenge pair.
 * fqind: type-1 learning queries; the adversary prepares registers
@@ -22,15 +22,15 @@ and ``final_guess``. The challenger never exposes the challenge bit or any
 b-dependent data beyond the prescribed response registers; winning always
 means guess == challenge bit.
 
-Every trial consumes randomness only from its own Generator, and
-estimate_advantage derives one child seed per trial up front, so aggregates
-are reproducible regardless of worker scheduling.
+All four share one challenger skeleton; only the learning oracle, the
+template checks and the challenge step differ. Every trial consumes
+randomness only from its own Generator, and estimate_advantage derives one
+child seed per trial up front, so aggregates are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -139,8 +139,8 @@ def _fresh_randomness(scheme: ClassicalScheme, rng: np.random.Generator) -> int:
     return int(rng.integers(2**scheme.randomness_bits))
 
 
-class Type1LearningOracle:
-    """Superposition access |x>|y> -> |x>|y ^ Enc_k(x; r)>, fresh r per query."""
+class _LearningOracle:
+    """Fresh randomness per query; records every value drawn."""
 
     def __init__(self, scheme: ClassicalScheme, key, rng: np.random.Generator) -> None:
         self._scheme = scheme
@@ -154,6 +154,14 @@ class Type1LearningOracle:
         self.query_count += 1
         self.randomness_used.append(r)
         return r
+
+    def query_classical(self, x: int) -> int:
+        """Basis-state query; returns the classical ciphertext."""
+        return int(self._scheme.enc(self._key, self._next_r(), int(x)))
+
+
+class Type1LearningOracle(_LearningOracle):
+    """Superposition access |x>|y> -> |x>|y ^ Enc_k(x; r)>, fresh r per query."""
 
     def query(
         self,
@@ -164,26 +172,9 @@ class Type1LearningOracle:
         u1 = type1_unitary(self._scheme, self._key, self._next_r())
         return u1.apply(state, tuple(message_wires) + tuple(response_wires))
 
-    def query_classical(self, x: int) -> int:
-        """Basis-state query; returns the classical ciphertext."""
-        return int(self._scheme.enc(self._key, self._next_r(), int(x)))
 
-
-class Type2LearningOracle:
+class Type2LearningOracle(_LearningOracle):
     """In-place access: the challenger appends its own |0> ancilla and encrypts."""
-
-    def __init__(self, scheme: ClassicalScheme, key, rng: np.random.Generator) -> None:
-        self._scheme = scheme
-        self._key = key
-        self._rng = rng
-        self.query_count = 0
-        self.randomness_used: list[int] = []
-
-    def _next_r(self) -> int:
-        r = _fresh_randomness(self._scheme, self._rng)
-        self.query_count += 1
-        self.randomness_used.append(r)
-        return r
 
     def query(
         self, state: StateVector, message_wires: tuple[int, ...]
@@ -199,21 +190,6 @@ class Type2LearningOracle:
         wires = tuple(message_wires) + tuple(range(n, n + anc))
         u2 = type2_unitary(scheme, self._key, self._next_r())
         return u2.apply(ext, wires), wires
-
-    def query_classical(self, x: int) -> int:
-        return int(self._scheme.enc(self._key, self._next_r(), int(x)))
-
-
-def _start_trial(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    rng: np.random.Generator,
-    game: str,
-):
-    adv = strategy.start(scheme, rng)
-    if not hasattr(adv, f"{game}_template"):
-        raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
-    return adv
 
 
 def _challenge_bit(rng: np.random.Generator, forced: int | None) -> int:
@@ -234,13 +210,6 @@ def _challenge_randomness(
     return int(forced)
 
 
-def _guess(adv) -> int:
-    g = int(adv.final_guess())
-    if g not in (0, 1):
-        raise GameSetupError(f"guess must be 0 or 1, got {g}")
-    return g
-
-
 def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what: str) -> None:
     if len(wires) != size:
         raise GameSetupError(f"{what} must have {size} wires, got {len(wires)}")
@@ -250,52 +219,27 @@ def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what:
         raise GameSetupError(f"{what} wires out of range")
 
 
-def run_ind_qcpa(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    rng: np.random.Generator,
-    *,
-    security: int = DEFAULT_SECURITY,
-    key=None,
-    challenge_bit: int | None = None,
-    challenge_randomness: int | None = None,
-) -> GameOutcome:
-    """Quantum learning phase, classical challenge on a plaintext pair."""
-    if key is None:
-        key = scheme.gen(security, rng)
-    adv = _start_trial(scheme, strategy, rng, "ind")
-    oracle = Type1LearningOracle(scheme, key, rng)
-    if hasattr(adv, "learn"):
-        adv.learn(oracle)
-    x0, x1 = adv.ind_template()
+# -- per-game challenge steps ---------------------------------------------------
+# A check validates the adversary's template. A challenge step builds the
+# response from (scheme, key, template, b, r, rng), may draw from rng only
+# after b and r are fixed, and hands the response to ``send``. Sending from
+# inside the step keeps its oracle table alive while the adversary works;
+# freeing it first measured up to 30% slower on 14-wire gqind trials, as
+# malloc returned the freed heap top and then faulted it back in.
+
+
+def _check_ind(scheme: ClassicalScheme, template) -> None:
+    x0, x1 = template
     for x in (x0, x1):
         if not 0 <= int(x) < 2**scheme.message_bits:
             raise GameSetupError(f"challenge plaintext {x} out of range")
-    b = _challenge_bit(rng, challenge_bit)
-    r = _challenge_randomness(scheme, rng, challenge_randomness)
-    adv.receive_challenge(int(scheme.enc(key, r, int((x0, x1)[b]))))
-    g = _guess(adv)
-    return GameOutcome("ind", b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count)
 
 
-def run_fqind_qcpa(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    rng: np.random.Generator,
-    *,
-    security: int = DEFAULT_SECURITY,
-    key=None,
-    challenge_bit: int | None = None,
-    challenge_randomness: int | None = None,
-) -> GameOutcome:
-    """Relaying challenge: XOR-encrypt register b in place, hand everything back."""
-    if key is None:
-        key = scheme.gen(security, rng)
-    adv = _start_trial(scheme, strategy, rng, "fqind")
-    oracle = Type1LearningOracle(scheme, key, rng)
-    if hasattr(adv, "learn"):
-        adv.learn(oracle)
-    ch = adv.fqind_template()
+def _challenge_ind(scheme, key, template, b, r, rng, send) -> None:
+    send(int(scheme.enc(key, r, int(template[b]))))
+
+
+def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
     m, ell = scheme.message_bits, scheme.ciphertext_bits
     _check_register(ch.state, ch.message0_wires, m, "message register 0")
     _check_register(ch.state, ch.message1_wires, m, "message register 1")
@@ -303,79 +247,43 @@ def run_fqind_qcpa(
     claimed = set(ch.message0_wires) | set(ch.message1_wires) | set(ch.response_wires)
     if len(claimed) != 2 * m + ell:
         raise GameSetupError("challenge registers must be disjoint")
-    b = _challenge_bit(rng, challenge_bit)
-    r = _challenge_randomness(scheme, rng, challenge_randomness)
+
+
+def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng, send) -> None:
+    """XOR-encrypt register b in place and hand every register back."""
     u1 = type1_unitary(scheme, key, r)
     message = ch.message1_wires if b else ch.message0_wires
     state = u1.apply(ch.state, tuple(message) + tuple(ch.response_wires))
-    adv.receive_challenge(
-        FqindChallenge(state, ch.message0_wires, ch.message1_wires, ch.response_wires)
-    )
-    g = _guess(adv)
-    return GameOutcome(
-        "fqind", b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count
-    )
+    send(FqindChallenge(state, ch.message0_wires, ch.message1_wires, ch.response_wires))
 
 
-def run_qind_qcpa(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    rng: np.random.Generator,
-    *,
-    security: int = DEFAULT_SECURITY,
-    key=None,
-    challenge_bit: int | None = None,
-    challenge_randomness: int | None = None,
-) -> GameOutcome:
-    """Non-relaying challenge: adversary sees only the fresh ciphertext register."""
-    if key is None:
-        key = scheme.gen(security, rng)
-    adv = _start_trial(scheme, strategy, rng, "qind")
-    oracle = Type2LearningOracle(scheme, key, rng)
-    if hasattr(adv, "learn"):
-        adv.learn(oracle)
-    d0, d1 = adv.qind_template()
-    m, ell = scheme.message_bits, scheme.ciphertext_bits
+def _check_qind(scheme: ClassicalScheme, template) -> None:
+    m = scheme.message_bits
+    d0, d1 = template
     for d in (d0, d1):
         if not isinstance(d, StateDescription) or d.num_wires != m:
             raise GameSetupError(f"challenge descriptions must cover exactly {m} wires")
-    b = _challenge_bit(rng, challenge_bit)
-    r = _challenge_randomness(scheme, rng, challenge_randomness)
-    plain = sample_description((d0, d1)[b], rng)
-    u2 = type2_unitary(scheme, key, r)
-    cipher = u2.apply(append_wires(plain, ell - m), tuple(range(ell)))
-    adv.receive_challenge(cipher)
-    g = _guess(adv)
-    return GameOutcome(
-        "qind", b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count
-    )
 
 
-def run_gqind_qcpa(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    rng: np.random.Generator,
-    *,
-    security: int = DEFAULT_SECURITY,
-    key=None,
-    challenge_bit: int | None = None,
-    challenge_randomness: int | None = None,
-) -> GameOutcome:
-    """General challenge: designated registers, unchosen one measured out."""
-    if key is None:
-        key = scheme.gen(security, rng)
-    adv = _start_trial(scheme, strategy, rng, "gqind")
-    oracle = Type2LearningOracle(scheme, key, rng)
-    if hasattr(adv, "learn"):
-        adv.learn(oracle)
-    ch = adv.gqind_template()
+def _challenge_qind(scheme, key, template, b, r, rng, send) -> None:
+    """Rebuild description b privately; only the ciphertext register leaves."""
     m, ell = scheme.message_bits, scheme.ciphertext_bits
+    plain = sample_description(template[b], rng)
+    u2 = type2_unitary(scheme, key, r)
+    send(u2.apply(append_wires(plain, ell - m), tuple(range(ell))))
+
+
+def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
+    m = scheme.message_bits
     _check_register(ch.state, ch.message0_wires, m, "message register 0")
     _check_register(ch.state, ch.message1_wires, m, "message register 1")
     if set(ch.message0_wires) & set(ch.message1_wires):
         raise GameSetupError("message registers must be disjoint")
-    b = _challenge_bit(rng, challenge_bit)
-    r = _challenge_randomness(scheme, rng, challenge_randomness)
+
+
+def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng, send) -> None:
+    """Measure out the unchosen register, encrypt the chosen one in place."""
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
     keep = ch.message1_wires if b else ch.message0_wires
     drop = ch.message0_wires if b else ch.message1_wires
     # trace out the unchosen register: measure, discard the outcome, delete
@@ -395,11 +303,85 @@ def run_gqind_qcpa(
     cipher_wires = message + tuple(range(n, n + ell - m))
     u2 = type2_unitary(scheme, key, r)
     state = u2.apply(state, cipher_wires)
-    adv.receive_challenge(GqindResponse(state, cipher_wires, private))
-    g = _guess(adv)
+    send(GqindResponse(state, cipher_wires, private))
+
+
+# game -> (learning oracle, template check, challenge step)
+_GAMES = {
+    "ind": (Type1LearningOracle, _check_ind, _challenge_ind),
+    "fqind": (Type1LearningOracle, _check_fqind, _challenge_fqind),
+    "qind": (Type2LearningOracle, _check_qind, _challenge_qind),
+    "gqind": (Type2LearningOracle, _check_gqind, _challenge_gqind),
+}
+
+
+def _play(
+    game: str,
+    scheme: ClassicalScheme,
+    strategy: AdversaryStrategy,
+    rng: np.random.Generator,
+    security: int,
+    key,
+    challenge_bit: int | None,
+    challenge_randomness: int | None,
+) -> GameOutcome:
+    """The challenger shared by all four games.
+
+    Draws from rng in a fixed order: key, adversary start, learning queries,
+    challenge bit, challenge randomness, then the challenge step.
+    """
+    oracle_type, check, challenge = _GAMES[game]
+    if key is None:
+        key = scheme.gen(security, rng)
+    adv = strategy.start(scheme, rng)
+    if not hasattr(adv, f"{game}_template"):
+        raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
+    oracle = oracle_type(scheme, key, rng)
+    if hasattr(adv, "learn"):
+        adv.learn(oracle)
+    template = getattr(adv, f"{game}_template")()
+    check(scheme, template)
+    b = _challenge_bit(rng, challenge_bit)
+    r = _challenge_randomness(scheme, rng, challenge_randomness)
+    challenge(scheme, key, template, b, r, rng, adv.receive_challenge)
+    g = int(adv.final_guess())
+    if g not in (0, 1):
+        raise GameSetupError(f"guess must be 0 or 1, got {g}")
     return GameOutcome(
-        "gqind", b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count
+        game, b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count
     )
+
+
+def _runner(game: str, doc: str) -> Callable[..., GameOutcome]:
+    def run(
+        scheme: ClassicalScheme,
+        strategy: AdversaryStrategy,
+        rng: np.random.Generator,
+        *,
+        security: int = DEFAULT_SECURITY,
+        key=None,
+        challenge_bit: int | None = None,
+        challenge_randomness: int | None = None,
+    ) -> GameOutcome:
+        return _play(
+            game, scheme, strategy, rng, security, key, challenge_bit, challenge_randomness
+        )
+
+    run.__name__ = run.__qualname__ = f"run_{game}_qcpa"
+    run.__doc__ = doc
+    return run
+
+
+run_ind_qcpa = _runner("ind", "Quantum learning phase, classical challenge on a plaintext pair.")
+run_fqind_qcpa = _runner(
+    "fqind", "Relaying challenge: XOR-encrypt register b in place, hand everything back."
+)
+run_qind_qcpa = _runner(
+    "qind", "Non-relaying challenge: adversary sees only the fresh ciphertext register."
+)
+run_gqind_qcpa = _runner(
+    "gqind", "General challenge: designated registers, unchosen one measured out."
+)
 
 
 GAME_RUNNERS: dict[str, Callable[..., GameOutcome]] = {
@@ -427,26 +409,18 @@ def estimate_advantage(
     trials: int,
     seed: int,
     *,
-    jobs: int = 1,
     security: int = DEFAULT_SECURITY,
 ) -> AdvantageEstimate:
     """Run independent trials with per-trial derived seeds and aggregate.
 
-    Trial i always uses the i-th spawned child of SeedSequence(seed), so the
-    result is identical for any worker count.
+    Trial i always uses the i-th spawned child of SeedSequence(seed).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    def one(child) -> bool:
-        return runner(scheme, strategy, np.random.default_rng(child), security=security).win
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            wins = sum(pool.map(one, children))
-    else:
-        wins = sum(one(child) for child in children)
+    wins = sum(
+        runner(scheme, strategy, np.random.default_rng(child), security=security).win
+        for child in np.random.SeedSequence(seed).spawn(trials)
+    )
     rate = wins / trials
     eps = hoeffding_half_width(trials)
     interval = (max(0.0, rate - eps), min(1.0, rate + eps))
@@ -463,6 +437,42 @@ def estimate_advantage(
     )
 
 
+def distinct_keys(
+    scheme: ClassicalScheme,
+    count: int,
+    rng: np.random.Generator,
+    security: int = DEFAULT_SECURITY,
+) -> list:
+    """The first ``count`` distinct keys scheme.gen draws from rng."""
+    keys: list = []
+    while len(keys) < count:
+        k = scheme.gen(security, rng)
+        if k not in keys:
+            keys.append(k)
+    return keys
+
+
+def _exact_branch_probabilities(
+    scheme: ClassicalScheme,
+    strategy: AdversaryStrategy,
+    key_count: int,
+    seed: int,
+    security: int,
+    max_randomness_values: int,
+) -> list[float]:
+    """One closed-form win probability per evaluated (key, randomness) pair."""
+    if not hasattr(strategy, "exact_win_probability"):
+        raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")
+    rng = np.random.default_rng([0x5EED, seed])
+    keys = distinct_keys(scheme, key_count, rng, security)
+    space = 2**scheme.randomness_bits
+    if space <= max_randomness_values:
+        r_values = list(range(space))
+    else:
+        r_values = sorted({int(rng.integers(space)) for _ in range(max_randomness_values)})
+    return [strategy.exact_win_probability(scheme, key, r) for key in keys for r in r_values]
+
+
 def exact_win_probability(
     scheme: ClassicalScheme,
     strategy: AdversaryStrategy,
@@ -476,24 +486,12 @@ def exact_win_probability(
 
     Needs a strategy exposing exact_win_probability(scheme, key, r); both
     challenge branches are enumerated there instead of sampling. Randomness
-    is swept exhaustively when the space is small.
+    is swept exhaustively when the space is small, otherwise drawn with
+    replacement and deduplicated.
     """
-    if not hasattr(strategy, "exact_win_probability"):
-        raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")
-    rng = np.random.default_rng([0x5EED, seed])
-    keys: list = []
-    while len(keys) < key_count:
-        k = scheme.gen(security, rng)
-        if k not in keys:
-            keys.append(k)
-    space = 2**scheme.randomness_bits
-    if space <= max_randomness_values:
-        r_values = list(range(space))
-    else:
-        r_values = sorted({int(rng.integers(space)) for _ in range(max_randomness_values)})
-    probs = [
-        strategy.exact_win_probability(scheme, key, r) for key in keys for r in r_values
-    ]
+    probs = _exact_branch_probabilities(
+        scheme, strategy, key_count, seed, security, max_randomness_values
+    )
     return float(np.mean(probs))
 
 
@@ -505,13 +503,15 @@ def exact_advantage(
     seed: int = 0,
     security: int = DEFAULT_SECURITY,
 ) -> AdvantageEstimate:
-    """Exact-mode estimate: zero-width interval, branch enumeration, no sampling."""
-    p = exact_win_probability(
-        scheme, strategy, key_count=key_count, seed=seed, security=security
-    )
-    space = min(2**scheme.randomness_bits, 8)
+    """Exact-mode estimate: zero-width interval, branch enumeration, no sampling.
+
+    ``trials`` counts the challenge branches evaluated: two per distinct
+    (key, randomness) pair.
+    """
+    probs = _exact_branch_probabilities(scheme, strategy, key_count, seed, security, 8)
+    p = float(np.mean(probs))
     return AdvantageEstimate(
-        trials=2 * key_count * space,
+        trials=2 * len(probs),
         wins=None,
         win_rate=p,
         advantage=2.0 * p - 1.0,
@@ -530,12 +530,17 @@ def _tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_wires + b.num_wires, np.kron(a.amplitudes, b.amplitudes))
 
 
-class _TrivialTemplates:
-    """Game-agnostic challenge templates for strategies that only guess."""
+class _GuessingTrial:
+    """Game-agnostic challenge templates for strategies that only guess.
 
-    def __init__(self, scheme: ClassicalScheme) -> None:
+    Guesses ``bit`` when one is given, else a fair coin from rng.
+    """
+
+    def __init__(self, scheme: ClassicalScheme, rng: np.random.Generator, bit: int | None) -> None:
         self._m = scheme.message_bits
         self._ell = scheme.ciphertext_bits
+        self._rng = rng
+        self._bit = bit
 
     def ind_template(self) -> tuple[int, int]:
         return 0, 2**self._m - 1
@@ -559,6 +564,12 @@ class _TrivialTemplates:
         m = self._m
         return GqindChallenge(zero_state(2 * m), tuple(range(m)), tuple(range(m, 2 * m)))
 
+    def receive_challenge(self, response) -> None:
+        pass
+
+    def final_guess(self) -> int:
+        return int(self._rng.integers(2)) if self._bit is None else self._bit
+
 
 class RandomGuesser(AdversaryStrategy):
     """Ignores everything and flips a fair coin; advantage 0 by construction."""
@@ -567,21 +578,7 @@ class RandomGuesser(AdversaryStrategy):
     games = GAME_NAMES
 
     def start(self, scheme, rng):
-        templates = _TrivialTemplates(scheme)
-
-        class _Trial:
-            ind_template = staticmethod(templates.ind_template)
-            qind_template = staticmethod(templates.qind_template)
-            fqind_template = staticmethod(templates.fqind_template)
-            gqind_template = staticmethod(templates.gqind_template)
-
-            def receive_challenge(self, response) -> None:
-                pass
-
-            def final_guess(self) -> int:
-                return int(rng.integers(2))
-
-        return _Trial()
+        return _GuessingTrial(scheme, rng, None)
 
 
 class ConstantGuesser(AdversaryStrategy):
@@ -598,22 +595,7 @@ class ConstantGuesser(AdversaryStrategy):
         self.name = f"constant{bit}"
 
     def start(self, scheme, rng):
-        templates = _TrivialTemplates(scheme)
-        bit = self.bit
-
-        class _Trial:
-            ind_template = staticmethod(templates.ind_template)
-            qind_template = staticmethod(templates.qind_template)
-            fqind_template = staticmethod(templates.fqind_template)
-            gqind_template = staticmethod(templates.gqind_template)
-
-            def receive_challenge(self, response) -> None:
-                pass
-
-            def final_guess(self) -> int:
-                return bit
-
-        return _Trial()
+        return _GuessingTrial(scheme, rng, self.bit)
 
 
 class _PaddedTrial:

@@ -212,3 +212,17 @@ def type2_from_type1(u1_enc: EncryptionUnitary, u1_dec: EncryptionUnitary) -> En
     return EncryptionUnitary(
         "type2", scheme, u1_enc.key, u1_enc.randomness, 2 * ell, out, workspace_wires=ell
     )
+
+
+def interconversions_match(scheme: ClassicalScheme, key, r: int) -> tuple[bool, bool]:
+    """Whether each interconversion circuit reproduces its direct lift.
+
+    First: type1_from_type2 equals type1_unitary. Second: type2_from_type1
+    acts like type2_unitary on every |x, 0> input.
+    """
+    u2 = type2_unitary(scheme, key, r)
+    u1 = type1_unitary(scheme, key, r)
+    type1_ok = np.array_equal(type1_from_type2(u2).permutation, u1.permutation)
+    built2 = type2_from_type1(u1, type1_decryption_unitary(scheme, key, r))
+    type2_ok = np.array_equal(built2.type2_action_table(), u2.type2_action_table())
+    return bool(type1_ok), bool(type2_ok)

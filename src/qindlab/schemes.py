@@ -17,13 +17,18 @@ forced by the schemes themselves:
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-_TABLE_PRP_CAP = 8  # explicit permutation tables up to here, lazy sampling above
+from .quantum_core import WIRE_CAP
+
+_PRF_INPUT_CAP = 8
+# Tables are pure functions of their arguments, so an evicted table is
+# rebuilt identical; reuse is only needed within one trial's calls.
+_TABLE_CACHE_SIZE = 64
 
 
 class CoreDecompositionError(ValueError):
@@ -93,19 +98,11 @@ def is_quasi_length_preserving(scheme: ClassicalScheme) -> bool:
 
 # -- toy PRFs -----------------------------------------------------------------
 
-_prf_lock = threading.Lock()
-_prf_tables: dict[tuple, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _prf_table(key: int, input_bits: int, output_bits: int) -> np.ndarray:
-    ident = (int(key), input_bits, output_bits)
-    with _prf_lock:
-        table = _prf_tables.get(ident)
-        if table is None:
-            rng = np.random.default_rng([0x7F52, *ident])
-            table = rng.integers(0, 2**output_bits, size=2**input_bits, dtype=np.int64)
-            table.setflags(write=False)
-            _prf_tables[ident] = table
+    rng = np.random.default_rng([0x7F52, int(key), input_bits, output_bits])
+    table = rng.integers(0, 2**output_bits, size=2**input_bits, dtype=np.int64)
+    table.setflags(write=False)
     return table
 
 
@@ -113,8 +110,8 @@ def toy_prf(input_bits: int, output_bits: int, key_bits: int = 16) -> KeyedFunct
     """Random-table PRF: each key selects an independent uniform table."""
     if input_bits < 0 or output_bits < 1:
         raise ValueError("need input_bits >= 0 and output_bits >= 1")
-    if input_bits > _TABLE_PRP_CAP:
-        raise ValueError(f"toy_prf tables are capped at {_TABLE_PRP_CAP} input bits")
+    if input_bits > _PRF_INPUT_CAP:
+        raise ValueError(f"toy_prf tables are capped at {_PRF_INPUT_CAP} input bits")
 
     def evaluate(key, x):
         table = _prf_table(key, input_bits, output_bits)
@@ -149,83 +146,25 @@ class PermutationFamily:
     inverse: Callable[[Any, Any], Any]
 
 
-_ideal_lock = threading.Lock()
-_ideal_tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_lazy_perms: dict[tuple, "_LazyPermutation"] = {}
-
-
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _ideal_table(seed: int, block_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    ident = (int(seed), block_bits)
-    with _ideal_lock:
-        pair = _ideal_tables.get(ident)
-        if pair is None:
-            rng = np.random.default_rng([0x1DEA, *ident])
-            fwd = rng.permutation(2**block_bits).astype(np.int64)
-            bwd = np.argsort(fwd)
-            fwd.setflags(write=False)
-            bwd.setflags(write=False)
-            pair = (fwd, bwd)
-            _ideal_tables[ident] = pair
-    return pair
-
-
-class _LazyPermutation:
-    """Uniform permutation realized query by query with memoized consistency.
-
-    The realized permutation depends on the query order, so it is
-    deterministic exactly for a fixed seeded query sequence; the lock keeps
-    concurrent queries from assigning conflicting slots.
-    """
-
-    def __init__(self, seed: int, block_bits: int) -> None:
-        self._size = 2**block_bits
-        self._rng = np.random.default_rng([0x1A2, int(seed), block_bits])
-        self._fwd: dict[int, int] = {}
-        self._bwd: dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    def _fresh(self, taken: dict[int, int]) -> int:
-        while True:
-            cand = int(self._rng.integers(self._size))
-            if cand not in taken:
-                return cand
-
-    def forward(self, x: int) -> int:
-        with self._lock:
-            if x not in self._fwd:
-                y = self._fresh(self._bwd)
-                self._fwd[x] = y
-                self._bwd[y] = x
-            return self._fwd[x]
-
-    def inverse(self, y: int) -> int:
-        with self._lock:
-            if y not in self._bwd:
-                x = self._fresh(self._fwd)
-                self._fwd[x] = y
-                self._bwd[y] = x
-            return self._bwd[y]
-
-
-def _lazy_perm(seed: int, block_bits: int) -> _LazyPermutation:
-    ident = (int(seed), block_bits)
-    with _ideal_lock:
-        perm = _lazy_perms.get(ident)
-        if perm is None:
-            perm = _LazyPermutation(seed, block_bits)
-            _lazy_perms[ident] = perm
-    return perm
+    rng = np.random.default_rng([0x1DEA, int(seed), block_bits])
+    fwd = rng.permutation(2**block_bits).astype(np.int64)
+    bwd = np.argsort(fwd)
+    fwd.setflags(write=False)
+    bwd.setflags(write=False)
+    return fwd, bwd
 
 
 def ideal_prp_family(block_bits: int, rng: np.random.Generator | None = None) -> PermutationFamily:
     """Uniformly random permutation per key (key = 32-bit seed).
 
-    Explicit table at block_bits <= 8; lazy memoized sampling above. The
-    optional ``rng`` only serves as the default source when ``init`` is
-    called without one.
+    Each key's permutation is an explicit table drawn from that key alone,
+    for every width up to the simulator's WIRE_CAP. The optional ``rng``
+    only serves as the default source when ``init`` is called without one.
     """
-    if block_bits < 1:
-        raise ValueError("block_bits must be >= 1")
+    if not 1 <= block_bits <= WIRE_CAP:
+        raise ValueError(f"block_bits must be in 1..{WIRE_CAP}")
     default_rng = rng
 
     def init(security: int, rng: np.random.Generator | None = None):
@@ -234,31 +173,11 @@ def ideal_prp_family(block_bits: int, rng: np.random.Generator | None = None) ->
             raise ValueError("ideal_prp_family.init needs a Generator")
         return int(src.integers(2**32))
 
-    if block_bits <= _TABLE_PRP_CAP:
+    def forward(key, x):
+        return _like(x, _ideal_table(key, block_bits)[0][x])
 
-        def forward(key, x):
-            return _like(x, _ideal_table(key, block_bits)[0][x])
-
-        def inverse(key, y):
-            return _like(y, _ideal_table(key, block_bits)[1][y])
-
-    else:
-
-        def forward(key, x):
-            perm = _lazy_perm(key, block_bits)
-            if _is_scalar(x):
-                return perm.forward(int(x))
-            return np.array([perm.forward(int(v)) for v in np.asarray(x).ravel()]).reshape(
-                np.asarray(x).shape
-            )
-
-        def inverse(key, y):
-            perm = _lazy_perm(key, block_bits)
-            if _is_scalar(y):
-                return perm.inverse(int(y))
-            return np.array([perm.inverse(int(v)) for v in np.asarray(y).ravel()]).reshape(
-                np.asarray(y).shape
-            )
+    def inverse(key, y):
+        return _like(y, _ideal_table(key, block_bits)[1][y])
 
     return PermutationFamily(
         name=f"ideal-{block_bits}",

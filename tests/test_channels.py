@@ -204,6 +204,16 @@ def test_corollary_certificate_with_no_taken_set_equals_the_lemma_run():
     assert a.bound == b.bound
 
 
+@pytest.mark.parametrize("certify", [certify_lemma_bound, certify_corollary_bound])
+def test_sampled_certificates_refuse_to_run_unseeded(certify):
+    with pytest.raises(ValueError, match="rng or seed"):
+        certify(1, 2, samples=1, n_perm=50)
+    with pytest.raises(ValueError, match="rng or seed"):
+        certify(1, 2, samples=3)
+    # exhaustive single-probe runs draw nothing and need no seed
+    assert certify(1, 1, samples=1).satisfied
+
+
 def test_certificate_rejects_saturating_taken_set():
     with pytest.raises(ValueError, match="saturates"):
         certify_corollary_bound(1, 1, (0, 1, 2, 3), samples=1)

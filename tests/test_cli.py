@@ -195,20 +195,30 @@ def test_equiv_rejects_oversized_parameters(capsys):
 
 
 def test_suite_wiring_and_exit_codes(capsys, monkeypatch):
-    def passing(jobs=1):
-        return [
-            acceptance.CriterionResult(1, "one", True, 0.01, {}),
-            acceptance.CriterionResult(2, "two", True, 0.02, {}),
+    def passing(seconds=(0.01, 0.02)):
+        return lambda: [
+            acceptance.CriterionResult(1, "one", True, seconds[0], {}),
+            acceptance.CriterionResult(2, "two", True, seconds[1], {}),
         ]
 
-    monkeypatch.setattr(cli.acceptance, "run_all", passing)
+    monkeypatch.setattr(cli.acceptance, "run_all", passing())
     code, out, _ = run_cli(capsys, ["suite", "--no-timing"])
     assert code == 0
     results = json.loads(out)["results"]
     assert results["all_passed"] is True
     assert len(results["criteria"]) == 2
 
-    def failing(jobs=1):
+    # wall-clock lives in the timing block only
+    monkeypatch.setattr(cli.acceptance, "run_all", passing((1.5, 2.75)))
+    code, slower, _ = run_cli(capsys, ["suite", "--no-timing"])
+    assert code == 0
+    assert slower == out
+    code, timed, _ = run_cli(capsys, ["suite"])
+    timing = json.loads(timed)["timing"]
+    assert timing["criteria"] == [{"number": 1, "seconds": 1.5}, {"number": 2, "seconds": 2.75}]
+    assert timing["total_seconds"] == 4.25
+
+    def failing():
         return [acceptance.CriterionResult(1, "one", False, 0.01, {"error": "x"})]
 
     monkeypatch.setattr(cli.acceptance, "run_all", failing)

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from qindlab import schemes
 from qindlab.attacks import qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
@@ -110,16 +111,11 @@ def test_hoeffding_half_width_formula():
 
 def test_estimate_advantage_is_seed_deterministic():
     scheme = prf_scheme(2, 1)
-    a = estimate_advantage(run_qind_qcpa, scheme, qlp_distinguisher(), 50, seed=9)
-    b = estimate_advantage(run_qind_qcpa, scheme, qlp_distinguisher(), 50, seed=9)
-    assert asdict(a) == asdict(b)
-
-
-def test_estimate_advantage_is_jobs_invariant():
-    scheme = prf_scheme(2, 1)
-    serial = estimate_advantage(run_qind_qcpa, scheme, RandomGuesser(), 80, seed=13, jobs=1)
-    parallel = estimate_advantage(run_qind_qcpa, scheme, RandomGuesser(), 80, seed=13, jobs=4)
-    assert asdict(serial) == asdict(parallel)
+    # a deterministic attack and one whose guesses draw from the trial rng
+    for strategy, trials, seed in ((qlp_distinguisher(), 50, 9), (RandomGuesser(), 80, 13)):
+        a = estimate_advantage(run_qind_qcpa, scheme, strategy, trials, seed=seed)
+        b = estimate_advantage(run_qind_qcpa, scheme, strategy, trials, seed=seed)
+        assert asdict(a) == asdict(b)
 
 
 def test_estimate_advantage_interval_contains_rate():
@@ -140,6 +136,26 @@ def test_exact_advantage_has_zero_width():
     assert est.half_width == 0.0
     assert est.interval[0] == est.interval[1] == est.win_rate
     assert est.win_rate == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_advantage_counts_the_branches_it_evaluated():
+    class CountingEvaluator(AdversaryStrategy):
+        name = "counting"
+
+        def __init__(self):
+            self.calls = 0
+
+        def exact_win_probability(self, scheme, key, r):
+            self.calls += 1
+            return 0.5
+
+    # tau = 4: eight randomness values drawn with replacement, so repeats
+    # shrink the evaluated set below 2 keys x 8 values
+    scheme = prf_scheme(2, 4)
+    for seed in range(4):
+        strategy = CountingEvaluator()
+        est = exact_advantage(scheme, strategy, seed=seed)
+        assert est.trials == 2 * strategy.calls
 
 
 def test_with_learning_queries_pads_the_transcript():
@@ -296,3 +312,13 @@ def test_entangled_block_probe_runs_on_block_scheme():
     out = run_gqind_qcpa(scheme, probe, np.random.default_rng(12))
     assert out.game == "gqind"
     assert out.guess in (0, 1)
+
+
+def test_key_table_caches_stay_bounded_over_fresh_keys():
+    wide = prp_scheme(2, 8, ideal_prp_family(10))
+    estimate_advantage(run_qind_qcpa, wide, qlp_distinguisher(force=True), 2000, seed=4)
+    estimate_advantage(run_qind_qcpa, prf_scheme(2, 2), qlp_distinguisher(), 2000, seed=4)
+    for cached in (schemes._ideal_table, schemes._prf_table):
+        info = cached.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize

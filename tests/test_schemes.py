@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qindlab import schemes
+from qindlab.quantum_core import WIRE_CAP
 from qindlab.schemes import (
     ClassicalScheme,
     CoreDecompositionError,
@@ -108,6 +110,26 @@ def test_ideal_family_keys_give_distinct_tables():
     fam = ideal_prp_family(4)
     tables = {tuple(fam.forward(k, x) for x in range(16)) for k in range(6)}
     assert len(tables) == 6
+
+
+@pytest.mark.parametrize("bits", [9, 10, 14])
+def test_wide_ideal_family_is_an_explicit_bijection(bits):
+    fam = ideal_prp_family(bits)
+    key = fam.init(16, np.random.default_rng(bits))
+    domain = np.arange(2**bits)
+    image = np.asarray(fam.forward(key, domain))
+    assert np.array_equal(np.sort(image), domain)
+    assert np.array_equal(np.asarray(fam.inverse(key, image)), domain)
+    # the table depends on the key alone, not on the cache or the query order
+    schemes._ideal_table.cache_clear()
+    again = np.asarray(fam.forward(key, domain[::-1]))[::-1]
+    assert np.array_equal(again, image)
+    assert [fam.forward(key, int(x)) for x in domain[-4:][::-1]] == image[-4:][::-1].tolist()
+
+
+def test_ideal_family_stops_at_the_wire_cap():
+    with pytest.raises(ValueError):
+        ideal_prp_family(WIRE_CAP + 1)
 
 
 def test_feistel_family_is_a_permutation():

@@ -11,7 +11,9 @@ from .attacks import (
     ATTACKS,
     AttackSpec,
     CoreInterferenceAttack,
+    EntangledBlockProbe,
     HadamardBitProbe,
+    HadamardTest,
     SuperpositionMaskAttack,
     bz_adversary,
     bz_expected_win_rate,
@@ -35,7 +37,6 @@ from .games import (
     AdvantageEstimate,
     AdversaryStrategy,
     ConstantGuesser,
-    EntangledBlockProbe,
     FqindChallenge,
     GameOutcome,
     GameSetupError,
@@ -46,9 +47,7 @@ from .games import (
     Type2LearningOracle,
     estimate_advantage,
     exact_advantage,
-    exact_win_probability,
     hoeffding_half_width,
-    replay_through_gqind,
     run_fqind_qcpa,
     run_gqind_qcpa,
     run_ind_qcpa,
@@ -97,13 +96,11 @@ from .quantum_core import (
 )
 from .schemes import (
     ClassicalScheme,
-    CoreDecompositionError,
     CoreFunction,
     KeyedFunction,
     PermutationFamily,
     block_scheme,
     constant_prf,
-    core_function,
     feistel_prp_family,
     ideal_prp_family,
     identity_permutation_family,

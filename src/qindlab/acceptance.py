@@ -230,7 +230,7 @@ def criterion_8() -> CriterionResult:
         m, tau, mu = 2, 4, 2
         base = schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
         scheme = schemes.block_scheme(base, mu)
-        probe = games.EntangledBlockProbe(mu)
+        probe = attacks.EntangledBlockProbe(mu)
         est = games.estimate_advantage(
             games.run_gqind_qcpa, scheme, probe, trials=5000, seed=888
         )

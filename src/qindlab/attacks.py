@@ -1,7 +1,20 @@
 """Concrete distinguishing adversaries for the indistinguishability games.
 
-Three attacks, each packaged as an AdversaryStrategy plus a closed-form
-expected win rate where one is known:
+Every attack here is a Hadamard test: it prepares a challenge, applies
+Hadamards to some wires of the response, measures them and guesses 0 iff
+they all read zero. An attack declares only its data:
+
+* its challenge template: fqind registers, or two pure qind state
+  descriptions (its gqind template is their product state);
+* the wires it tests, as positions inside the response register (message
+  register 1 for fqind, the ciphertext register for qind and gqind);
+* the scheme check it makes before a trial, which also fixes those positions.
+
+HadamardTest plays and scores them all: one trial class answers the
+templates of the attack's games, and one exact evaluator replays the game's
+own challenge step for both challenge bits, with no sampling anywhere.
+
+Four attacks, each with a closed-form expected win rate where one is known:
 
 * superposition-mask attack ("bz"): fqind. Register 1 holds the uniform
   superposition; if the challenger encrypts it, entanglement with the
@@ -22,12 +35,14 @@ expected win rate where one is known:
   one-bit bijections are identity and negation, both phase-transparent);
   against wider or non-core schemes it is a cheap probe with no guarantee.
 
-Exact evaluators replay both challenge branches through the simulator and
-return the averaged win probability, with no sampling anywhere.
+* entangled-blocks probe: gqind against block schemes. GHZ across all
+  message wires vs the uniform superposition, Hadamard test on the trailing
+  base-message wires of every ciphertext block.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -35,19 +50,19 @@ from typing import Callable
 import numpy as np
 
 from .games import (
+    GAME_STEPS,
     AdversaryStrategy,
     FqindChallenge,
     GameSetupError,
     GqindChallenge,
     GqindResponse,
 )
-from .oracles import type1_unitary, type2_unitary
 from .quantum_core import (
+    CNOT,
     H,
     StateDescription,
     StateVector,
     X,
-    append_wires,
     apply_unitary,
     hadamard_all,
     measure_computational,
@@ -66,25 +81,113 @@ def _prob_zero(state: StateVector, wires: tuple[int, ...]) -> float:
     return float(np.sum(np.abs(tensor[tuple(index)]) ** 2))
 
 
-def _pure_state(description: StateDescription) -> StateVector:
-    if description.mixture is not None:
-        raise GameSetupError("exact evaluation needs pure challenge descriptions")
-    return run_gates(description.num_wires, description.gates)
+def _hadamard_test(response, tested: tuple[int, ...]) -> tuple[StateVector, tuple[int, ...]]:
+    """Hadamards on the tested positions of the response register.
+
+    Returns the new state and the absolute wires tested.
+    """
+    if isinstance(response, FqindChallenge):
+        state, register = response.state, response.message1_wires
+    elif isinstance(response, GqindResponse):
+        state, register = response.state, response.ciphertext_wires
+    else:
+        state, register = response, range(response.num_wires)
+    wires = tuple(register[i] for i in tested)
+    return apply_unitary(hadamard_all(len(wires)), state, wires), wires
 
 
-def _qind_cipher_state(
-    scheme: ClassicalScheme, key, r: int, description: StateDescription
-) -> StateVector:
-    plain = _pure_state(description)
-    ell = scheme.ciphertext_bits
-    u2 = type2_unitary(scheme, key, r)
-    return u2.apply(append_wires(plain, ell - plain.num_wires), tuple(range(ell)))
+@functools.lru_cache(maxsize=64)
+def _product_challenge(d0: StateDescription, d1: StateDescription) -> GqindChallenge:
+    """The gqind template of a pure qind description pair: unentangled registers.
+
+    Built once per pair; the challenge is immutable, so trials share it.
+    """
+    m = d0.num_wires
+    a, b = run_gates(m, d0.gates), run_gates(m, d1.gates)
+    state = StateVector(2 * m, np.kron(a.amplitudes, b.amplitudes))
+    return GqindChallenge(state, tuple(range(m)), tuple(range(m, 2 * m)))
+
+
+class _HadamardTrial:
+    """One trial of a HadamardTest; offers templates only for the attack's games."""
+
+    def __init__(self, attack: HadamardTest, scheme: ClassicalScheme, rng) -> None:
+        self._attack = attack
+        self._scheme = scheme
+        self._tested = attack.tested_wires(scheme)
+        self._rng = rng
+        self._guess: int | None = None
+
+    def __getattr__(self, name: str):
+        game = name.removesuffix("_template")
+        if game == name or game not in self._attack.games:
+            raise AttributeError(name)
+        return lambda: self._attack.template(self._scheme, game)
+
+    def receive_challenge(self, response) -> None:
+        state, wires = _hadamard_test(response, self._tested)
+        outcome, _ = measure_computational(state, wires, self._rng)
+        self._guess = int("1" in outcome)
+
+    def final_guess(self) -> int:
+        assert self._guess is not None
+        return self._guess
+
+
+class HadamardTest(AdversaryStrategy):
+    """An attack given by its template, its tested wires and its scheme check.
+
+    Subclasses define ``tested_wires`` and either ``descriptions`` (a pure
+    qind pair, whose product state is the gqind template) or ``template``.
+    """
+
+    # The game whose challenge step scores the attack exactly. A description
+    # attack's gqind registers form a product state, so measuring out the
+    # unchosen one leaves the chosen one as the qind challenger rebuilds it:
+    # both games give the same value.
+    exact_game = "qind"
+
+    def tested_wires(self, scheme: ClassicalScheme) -> tuple[int, ...]:
+        """Positions of the tested wires in the response register.
+
+        Raises GameSetupError for a scheme the attack refuses.
+        """
+        raise NotImplementedError
+
+    def descriptions(self, m: int) -> tuple[StateDescription, StateDescription]:
+        """The pure qind challenge pair on ``m`` message wires."""
+        raise NotImplementedError
+
+    def template(self, scheme: ClassicalScheme, game: str):
+        """The challenge template this attack sends in ``game``."""
+        pair = self.descriptions(scheme.message_bits)
+        return pair if game == "qind" else _product_challenge(*pair)
+
+    def start(self, scheme, rng):
+        return _HadamardTrial(self, scheme, rng)
+
+    def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
+        """Win probability at fixed (key, r), both challenge bits enumerated.
+
+        The challenge step gets no Generator: pure templates draw nothing.
+        """
+        tested = self.tested_wires(scheme)
+        template = self.template(scheme, self.exact_game)
+        challenge = GAME_STEPS[self.exact_game][2]
+        p: list[float] = []
+
+        def score(response) -> None:
+            p.append(_prob_zero(*_hadamard_test(response, tested)))
+
+        for b in (0, 1):
+            challenge(scheme, key, template, b, r, None, score)
+        return 0.5 * (p[0] + 1.0 - p[1])
 
 
 # -- superposition-mask attack (fqind) ------------------------------------------
 
 
-class SuperpositionMaskAttack(AdversaryStrategy):
+class SuperpositionMaskAttack(HadamardTest):
     """fqind adversary that detects which register was encrypted.
 
     Register 0 is |0..0>, register 1 the uniform superposition, response
@@ -96,47 +199,16 @@ class SuperpositionMaskAttack(AdversaryStrategy):
 
     name = "bz"
     games = ("fqind",)
+    exact_game = "fqind"
 
-    def start(self, scheme, rng):
+    def tested_wires(self, scheme):
+        return tuple(range(scheme.message_bits))
+
+    def template(self, scheme, game):
         m, ell = scheme.message_bits, scheme.ciphertext_bits
         msg1 = tuple(range(m, 2 * m))
-
-        class _Trial:
-            def __init__(self) -> None:
-                self._guess: int | None = None
-
-            def fqind_template(self) -> FqindChallenge:
-                state = apply_unitary(hadamard_all(m), zero_state(2 * m + ell), msg1)
-                return FqindChallenge(
-                    state,
-                    tuple(range(m)),
-                    msg1,
-                    tuple(range(2 * m, 2 * m + ell)),
-                )
-
-            def receive_challenge(self, ch: FqindChallenge) -> None:
-                state = apply_unitary(hadamard_all(m), ch.state, ch.message1_wires)
-                outcome, _ = measure_computational(state, ch.message1_wires, rng)
-                self._guess = 0 if set(outcome) == {"0"} else 1
-
-            def final_guess(self) -> int:
-                assert self._guess is not None
-                return self._guess
-
-        return _Trial()
-
-    def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
-        m, ell = scheme.message_bits, scheme.ciphertext_bits
-        msg1 = tuple(range(m, 2 * m))
-        response = tuple(range(2 * m, 2 * m + ell))
-        template = apply_unitary(hadamard_all(m), zero_state(2 * m + ell), msg1)
-        u1 = type1_unitary(scheme, key, r)
-        p = []
-        for message in (tuple(range(m)), msg1):
-            state = u1.apply(template, message + response)
-            state = apply_unitary(hadamard_all(m), state, msg1)
-            p.append(_prob_zero(state, msg1))
-        return 0.5 * (p[0] + 1.0 - p[1])
+        state = apply_unitary(hadamard_all(m), zero_state(2 * m + ell), msg1)
+        return FqindChallenge(state, tuple(range(m)), msg1, tuple(range(2 * m, 2 * m + ell)))
 
 
 def bz_expected_win_rate(message_bits: int) -> Fraction:
@@ -151,18 +223,7 @@ def bz_adversary() -> SuperpositionMaskAttack:
 # -- core-interference attack (qind / gqind) ------------------------------------
 
 
-def _core_width(scheme: ClassicalScheme, force: bool) -> int:
-    if is_quasi_length_preserving(scheme):
-        return scheme.core.output_bits
-    if not force:
-        raise GameSetupError(
-            f"scheme {scheme.name} is not quasi-length-preserving; "
-            "pass force=True to probe it anyway"
-        )
-    return scheme.message_bits
-
-
-class CoreInterferenceAttack(AdversaryStrategy):
+class CoreInterferenceAttack(HadamardTest):
     """qind/gqind adversary: uniform vs all-minus, Hadamard test on the core.
 
     The ciphertext's trailing core-width wires carry a basis permutation of
@@ -182,65 +243,18 @@ class CoreInterferenceAttack(AdversaryStrategy):
         if force:
             self.name = "qlp-forced"
 
-    def start(self, scheme, rng):
-        m = scheme.message_bits
+    def tested_wires(self, scheme):
+        if not (self.force or is_quasi_length_preserving(scheme)):
+            raise GameSetupError(
+                f"scheme {scheme.name} is not quasi-length-preserving; "
+                "pass force=True to probe it anyway"
+            )
         ell = scheme.ciphertext_bits
-        width = _core_width(scheme, self.force)
+        return tuple(range(ell - scheme.message_bits, ell))
 
-        class _Trial:
-            def __init__(self) -> None:
-                self._guess: int | None = None
-
-            def qind_template(self) -> tuple[StateDescription, StateDescription]:
-                return _qlp_descriptions(m)
-
-            def gqind_template(self) -> GqindChallenge:
-                plus = run_gates(m, tuple(H(w) for w in range(m)))
-                minus = run_gates(
-                    m, tuple(X(w) for w in range(m)) + tuple(H(w) for w in range(m))
-                )
-                amplitudes = np.kron(plus.amplitudes, minus.amplitudes)
-                return GqindChallenge(
-                    StateVector(2 * m, amplitudes),
-                    tuple(range(m)),
-                    tuple(range(m, 2 * m)),
-                )
-
-            def receive_challenge(self, response) -> None:
-                if isinstance(response, GqindResponse):
-                    state, cipher = response.state, response.ciphertext_wires
-                else:
-                    state, cipher = response, tuple(range(ell))
-                core = cipher[len(cipher) - width :]
-                state = apply_unitary(hadamard_all(width), state, core)
-                outcome, _ = measure_computational(state, core, rng)
-                self._guess = 0 if set(outcome) == {"0"} else 1
-
-            def final_guess(self) -> int:
-                assert self._guess is not None
-                return self._guess
-
-        return _Trial()
-
-    def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
-        """Branch-enumerated qind win probability; the gqind value is the
-        same because both challenge registers are product states."""
-        width = _core_width(scheme, self.force)
-        ell = scheme.ciphertext_bits
-        core = tuple(range(ell - width, ell))
-        d0, d1 = _qlp_descriptions(scheme.message_bits)
-        p = []
-        for d in (d0, d1):
-            state = _qind_cipher_state(scheme, key, r, d)
-            state = apply_unitary(hadamard_all(width), state, core)
-            p.append(_prob_zero(state, core))
-        return 0.5 * (p[0] + 1.0 - p[1])
-
-
-def _qlp_descriptions(m: int) -> tuple[StateDescription, StateDescription]:
-    hs = tuple(H(w) for w in range(m))
-    xs = tuple(X(w) for w in range(m))
-    return StateDescription(m, hs), StateDescription(m, xs + hs)
+    def descriptions(self, m):
+        hs = tuple(H(w) for w in range(m))
+        return StateDescription(m, hs), StateDescription(m, tuple(X(w) for w in range(m)) + hs)
 
 
 def qlp_distinguisher(force: bool = False) -> CoreInterferenceAttack:
@@ -250,7 +264,7 @@ def qlp_distinguisher(force: bool = False) -> CoreInterferenceAttack:
 # -- single-wire probe (qind / gqind) -------------------------------------------
 
 
-class HadamardBitProbe(AdversaryStrategy):
+class HadamardBitProbe(HadamardTest):
     """Plus vs minus on one plaintext wire, Hadamard test on the aligned
     ciphertext wire (trailing-core layout). Certain win for one-bit
     quasi-length-preserving schemes; otherwise a guarantee-free probe."""
@@ -263,71 +277,52 @@ class HadamardBitProbe(AdversaryStrategy):
             raise ValueError("probe_wire must be >= 0")
         self.probe_wire = probe_wire
 
-    def _cipher_wire(self, scheme: ClassicalScheme) -> int:
+    def tested_wires(self, scheme):
         m, ell = scheme.message_bits, scheme.ciphertext_bits
         if self.probe_wire >= m:
             raise GameSetupError(f"probe wire {self.probe_wire} outside {m} message wires")
-        return ell - m + self.probe_wire
+        return (ell - m + self.probe_wire,)
 
-    def _descriptions(self, m: int) -> tuple[StateDescription, StateDescription]:
+    def descriptions(self, m):
         w = self.probe_wire
-        return (
-            StateDescription(m, (H(w),)),
-            StateDescription(m, (X(w), H(w))),
-        )
-
-    def start(self, scheme, rng):
-        m = scheme.message_bits
-        ell = scheme.ciphertext_bits
-        target_offset = self._cipher_wire(scheme)
-        descriptions = self._descriptions(m)
-        probe_wire = self.probe_wire
-
-        class _Trial:
-            def __init__(self) -> None:
-                self._guess: int | None = None
-
-            def qind_template(self) -> tuple[StateDescription, StateDescription]:
-                return descriptions
-
-            def gqind_template(self) -> GqindChallenge:
-                reg0 = run_gates(m, (H(probe_wire),))
-                reg1 = run_gates(m, (X(probe_wire), H(probe_wire)))
-                amplitudes = np.kron(reg0.amplitudes, reg1.amplitudes)
-                return GqindChallenge(
-                    StateVector(2 * m, amplitudes),
-                    tuple(range(m)),
-                    tuple(range(m, 2 * m)),
-                )
-
-            def receive_challenge(self, response) -> None:
-                if isinstance(response, GqindResponse):
-                    state, cipher = response.state, response.ciphertext_wires
-                else:
-                    state, cipher = response, tuple(range(ell))
-                target = cipher[target_offset]
-                state = apply_unitary(hadamard_all(1), state, (target,))
-                outcome, _ = measure_computational(state, (target,), rng)
-                self._guess = 0 if outcome == "0" else 1
-
-            def final_guess(self) -> int:
-                assert self._guess is not None
-                return self._guess
-
-        return _Trial()
-
-    def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
-        target = self._cipher_wire(scheme)
-        p = []
-        for d in self._descriptions(scheme.message_bits):
-            state = _qind_cipher_state(scheme, key, r, d)
-            state = apply_unitary(hadamard_all(1), state, (target,))
-            p.append(_prob_zero(state, (target,)))
-        return 0.5 * (p[0] + 1.0 - p[1])
+        return StateDescription(m, (H(w),)), StateDescription(m, (X(w), H(w)))
 
 
 def hadamard_bit_distinguisher(probe_wire: int = 0) -> HadamardBitProbe:
     return HadamardBitProbe(probe_wire=probe_wire)
+
+
+# -- entangled-blocks probe (gqind) ---------------------------------------------
+
+
+class EntangledBlockProbe(HadamardTest):
+    """gqind probe for block schemes: an entangled challenge across blocks.
+
+    Register 0 is the across-all-wires GHZ state (the blocks cannot be
+    written as a product), register 1 the uniform superposition. On receipt
+    a Hadamard test runs on the trailing base-message wires of every
+    ciphertext block; the guess is 0 iff every outcome is zero.
+    """
+
+    name = "entangled-blocks"
+    games = ("gqind",)
+
+    def __init__(self, mu: int) -> None:
+        if mu < 1:
+            raise ValueError("mu must be >= 1")
+        self.mu = mu
+        self.name = f"entangled-blocks-mu{mu}"
+
+    def tested_wires(self, scheme):
+        mu = self.mu
+        if scheme.message_bits % mu or scheme.ciphertext_bits % mu:
+            raise GameSetupError(f"scheme widths are not divisible into {mu} blocks")
+        m_b, c_b = scheme.message_bits // mu, scheme.ciphertext_bits // mu
+        return tuple(i * c_b + j for i in range(mu) for j in range(c_b - m_b, c_b))
+
+    def descriptions(self, m):
+        ghz = (H(0),) + tuple(CNOT(0, w) for w in range(1, m))
+        return StateDescription(m, ghz), StateDescription(m, tuple(H(w) for w in range(m)))
 
 
 # -- registry --------------------------------------------------------------------

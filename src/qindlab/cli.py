@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__, acceptance, attacks, channels, games, schemes
 from .games import GameSetupError
@@ -91,11 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_secure = sub.add_parser("secure", help="probe a construction against its bound")
     p_secure.add_argument("--game", choices=("qind", "gqind"), default=None)
-    p_secure.add_argument(
-        "--adversary",
-        choices=("qlp", "hadamard-bit", "random", "entangled-blocks"),
-        default=None,
-    )
+    p_secure.add_argument("--adversary", choices=tuple(_SECURE_ADVERSARIES), default=None)
     p_secure.add_argument("--trials", type=_positive_int, default=None)
     p_secure.add_argument("--q", type=int, default=None, help="learning queries")
     scheme_flags(p_secure, ("prp", "block"))
@@ -190,6 +187,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     names = set(defaults) | {
         k for k in vars(args) if k not in ("command", "config")
     }
+    unknown = sorted(set(from_file) - names)
+    if unknown:
+        raise UsageError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
     for name in sorted(names):
         flag = getattr(args, name, None)
         if flag is not None:
@@ -296,19 +296,23 @@ def cmd_attack(cfg: dict) -> tuple[dict, int]:
     return results, 0
 
 
+# secure --adversary name -> strategy built from the config
+_SECURE_ADVERSARIES: dict[str, Callable[[dict], games.AdversaryStrategy]] = {
+    "qlp": lambda cfg: attacks.qlp_distinguisher(force=True),
+    "hadamard-bit": lambda cfg: attacks.hadamard_bit_distinguisher(),
+    "random": lambda cfg: games.RandomGuesser(),
+    "entangled-blocks": lambda cfg: attacks.EntangledBlockProbe(cfg["mu"]),
+}
+
+
 def cmd_secure(cfg: dict) -> tuple[dict, int]:
     scheme = _build_scheme(cfg)
     game = cfg["game"]
     _check_wire_budget(game, scheme)
     name = cfg["adversary"]
-    if name == "qlp":
-        strategy: games.AdversaryStrategy = attacks.qlp_distinguisher(force=True)
-    elif name == "hadamard-bit":
-        strategy = attacks.hadamard_bit_distinguisher()
-    elif name == "random":
-        strategy = games.RandomGuesser()
-    else:
-        strategy = games.EntangledBlockProbe(cfg["mu"])
+    if name not in _SECURE_ADVERSARIES:
+        raise UsageError(f"unknown adversary {name!r}; choose from {', '.join(_SECURE_ADVERSARIES)}")
+    strategy = _SECURE_ADVERSARIES[name](cfg)
     if game not in strategy.games:
         raise UsageError(f"{name} requires {'/'.join(strategy.games)}")
     if cfg["q"] < 0:
@@ -481,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         results, code, *suite_timing = _COMMANDS[args.command](cfg)
         elapsed = time.perf_counter() - start
-    except (UsageError, GameSetupError, schemes.CoreDecompositionError, ValueError) as exc:
+    except (UsageError, GameSetupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -42,10 +42,7 @@ from .quantum_core import (
     StateVector,
     X,
     append_wires,
-    apply_unitary,
-    hadamard_all,
     measure_and_remove,
-    measure_computational,
     sample_description,
     zero_state,
 )
@@ -129,7 +126,6 @@ class AdversaryStrategy:
 
     name: str = "adversary"
     games: tuple[str, ...] = ()
-    deterministic: bool = False
 
     def start(self, scheme: ClassicalScheme, rng: np.random.Generator) -> Any:
         raise NotImplementedError
@@ -307,7 +303,7 @@ def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng, send) -> None:
 
 
 # game -> (learning oracle, template check, challenge step)
-_GAMES = {
+GAME_STEPS = {
     "ind": (Type1LearningOracle, _check_ind, _challenge_ind),
     "fqind": (Type1LearningOracle, _check_fqind, _challenge_fqind),
     "qind": (Type2LearningOracle, _check_qind, _challenge_qind),
@@ -330,7 +326,7 @@ def _play(
     Draws from rng in a fixed order: key, adversary start, learning queries,
     challenge bit, challenge randomness, then the challenge step.
     """
-    oracle_type, check, challenge = _GAMES[game]
+    oracle_type, check, challenge = GAME_STEPS[game]
     if key is None:
         key = scheme.gen(security, rng)
     adv = strategy.start(scheme, rng)
@@ -444,55 +440,14 @@ def distinct_keys(
     security: int = DEFAULT_SECURITY,
 ) -> list:
     """The first ``count`` distinct keys scheme.gen draws from rng."""
+    if count > scheme.key_space:
+        raise ValueError(f"{count} distinct keys requested; {scheme.name} has {scheme.key_space}")
     keys: list = []
     while len(keys) < count:
         k = scheme.gen(security, rng)
         if k not in keys:
             keys.append(k)
     return keys
-
-
-def _exact_branch_probabilities(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    key_count: int,
-    seed: int,
-    security: int,
-    max_randomness_values: int,
-) -> list[float]:
-    """One closed-form win probability per evaluated (key, randomness) pair."""
-    if not hasattr(strategy, "exact_win_probability"):
-        raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")
-    rng = np.random.default_rng([0x5EED, seed])
-    keys = distinct_keys(scheme, key_count, rng, security)
-    space = 2**scheme.randomness_bits
-    if space <= max_randomness_values:
-        r_values = list(range(space))
-    else:
-        r_values = sorted({int(rng.integers(space)) for _ in range(max_randomness_values)})
-    return [strategy.exact_win_probability(scheme, key, r) for key in keys for r in r_values]
-
-
-def exact_win_probability(
-    scheme: ClassicalScheme,
-    strategy: AdversaryStrategy,
-    *,
-    key_count: int = 2,
-    seed: int = 0,
-    security: int = DEFAULT_SECURITY,
-    max_randomness_values: int = 8,
-) -> float:
-    """Average closed-form win probability over sampled keys and randomness.
-
-    Needs a strategy exposing exact_win_probability(scheme, key, r); both
-    challenge branches are enumerated there instead of sampling. Randomness
-    is swept exhaustively when the space is small, otherwise drawn with
-    replacement and deduplicated.
-    """
-    probs = _exact_branch_probabilities(
-        scheme, strategy, key_count, seed, security, max_randomness_values
-    )
-    return float(np.mean(probs))
 
 
 def exact_advantage(
@@ -505,10 +460,22 @@ def exact_advantage(
 ) -> AdvantageEstimate:
     """Exact-mode estimate: zero-width interval, branch enumeration, no sampling.
 
+    Needs a strategy exposing exact_win_probability(scheme, key, r), which
+    enumerates both challenge branches. Randomness is swept exhaustively up
+    to 8 values, otherwise 8 are drawn with replacement and deduplicated.
     ``trials`` counts the challenge branches evaluated: two per distinct
     (key, randomness) pair.
     """
-    probs = _exact_branch_probabilities(scheme, strategy, key_count, seed, security, 8)
+    if not hasattr(strategy, "exact_win_probability"):
+        raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")
+    rng = np.random.default_rng([0x5EED, seed])
+    keys = distinct_keys(scheme, key_count, rng, security)
+    space = 2**scheme.randomness_bits
+    if space <= 8:
+        r_values = list(range(space))
+    else:
+        r_values = sorted({int(rng.integers(space)) for _ in range(8)})
+    probs = [strategy.exact_win_probability(scheme, key, r) for key in keys for r in r_values]
     p = float(np.mean(probs))
     return AdvantageEstimate(
         trials=2 * len(probs),
@@ -524,10 +491,6 @@ def exact_advantage(
 
 
 # -- baseline and utility strategies -------------------------------------------
-
-
-def _tensor(a: StateVector, b: StateVector) -> StateVector:
-    return StateVector(a.num_wires + b.num_wires, np.kron(a.amplitudes, b.amplitudes))
 
 
 class _GuessingTrial:
@@ -586,7 +549,6 @@ class ConstantGuesser(AdversaryStrategy):
 
     name = "constant"
     games = GAME_NAMES
-    deterministic = True
 
     def __init__(self, bit: int = 0) -> None:
         if bit not in (0, 1):
@@ -619,7 +581,6 @@ class _PaddedStrategy(AdversaryStrategy):
         self._count = count
         self.name = f"{base.name}+q{count}"
         self.games = base.games
-        self.deterministic = base.deterministic
 
     def start(self, scheme, rng):
         return _PaddedTrial(self._base.start(scheme, rng), self._count)
@@ -634,117 +595,3 @@ def with_learning_queries(strategy: AdversaryStrategy, count: int) -> AdversaryS
     if count < 0:
         raise ValueError("count must be >= 0")
     return strategy if count == 0 else _PaddedStrategy(strategy, count)
-
-
-def _register_state(state: StateVector, wires: tuple[int, ...]) -> StateVector:
-    """Reorder a full state so the listed wires become wires 0..k-1."""
-    if sorted(wires) != list(range(state.num_wires)):
-        raise GameSetupError("register extraction needs all wires accounted for")
-    arr = state.amplitudes.reshape((2,) * state.num_wires).transpose(wires)
-    return StateVector(state.num_wires, arr.reshape(-1))
-
-
-class _ReplayTrial:
-    def __init__(self, inner, scheme, rng) -> None:
-        self._inner = inner
-        self._m = scheme.message_bits
-        self._rng = rng
-
-    def learn(self, oracle) -> None:
-        if hasattr(self._inner, "learn"):
-            self._inner.learn(oracle)
-
-    def gqind_template(self) -> GqindChallenge:
-        d0, d1 = self._inner.qind_template()
-        state = _tensor(
-            sample_description(d0, self._rng), sample_description(d1, self._rng)
-        )
-        m = self._m
-        return GqindChallenge(state, tuple(range(m)), tuple(range(m, 2 * m)))
-
-    def receive_challenge(self, response: GqindResponse) -> None:
-        if response.private_wires:
-            raise GameSetupError("replayed adversary kept no private wires")
-        self._inner.receive_challenge(
-            _register_state(response.state, response.ciphertext_wires)
-        )
-
-    def final_guess(self) -> int:
-        return self._inner.final_guess()
-
-
-class _GqindReplay(AdversaryStrategy):
-    def __init__(self, base: AdversaryStrategy) -> None:
-        self._base = base
-        self.name = f"{base.name}@gqind"
-        self.games = ("gqind",)
-        self.deterministic = base.deterministic
-
-    def start(self, scheme, rng):
-        return _ReplayTrial(self._base.start(scheme, rng), scheme, rng)
-
-
-def replay_through_gqind(strategy: AdversaryStrategy) -> AdversaryStrategy:
-    """Lift a qind strategy into gqind: descriptions materialize as unentangled
-    registers, the returned ciphertext register is handed back verbatim."""
-    return _GqindReplay(strategy)
-
-
-class EntangledBlockProbe(AdversaryStrategy):
-    """gqind probe for block schemes: an entangled challenge across blocks.
-
-    Register 0 is the across-all-wires GHZ state (the blocks cannot be
-    written as a product), register 1 the uniform superposition. On receipt
-    a Hadamard test runs on the trailing base-message wires of every
-    ciphertext block; the guess is 0 iff every outcome is zero.
-    """
-
-    name = "entangled-blocks"
-    games = ("gqind",)
-
-    def __init__(self, mu: int) -> None:
-        if mu < 1:
-            raise ValueError("mu must be >= 1")
-        self.mu = mu
-        self.name = f"entangled-blocks-mu{mu}"
-
-    def start(self, scheme, rng):
-        mu = self.mu
-        if scheme.message_bits % mu or scheme.ciphertext_bits % mu:
-            raise GameSetupError(f"scheme widths are not divisible into {mu} blocks")
-        m_total = scheme.message_bits
-        m_b = m_total // mu
-        c_b = scheme.ciphertext_bits // mu
-        probe = self
-
-        class _Trial:
-            def __init__(self) -> None:
-                self._guess: int | None = None
-
-            def gqind_template(self) -> GqindChallenge:
-                ghz = np.zeros(2**m_total, dtype=np.complex128)
-                ghz[0] = ghz[-1] = 1.0 / np.sqrt(2.0)
-                uniform = np.full(2**m_total, 2.0 ** (-m_total / 2), dtype=np.complex128)
-                state = _tensor(
-                    StateVector(m_total, ghz), StateVector(m_total, uniform)
-                )
-                return GqindChallenge(
-                    state, tuple(range(m_total)), tuple(range(m_total, 2 * m_total))
-                )
-
-            def receive_challenge(self, response: GqindResponse) -> None:
-                state = response.state
-                probe_wires: list[int] = []
-                for i in range(probe.mu):
-                    block = response.ciphertext_wires[i * c_b : (i + 1) * c_b]
-                    core = block[c_b - m_b :]
-                    state = apply_unitary(hadamard_all(m_b), state, core)
-                    probe_wires.extend(core)
-                outcome, _ = measure_computational(state, tuple(probe_wires), rng)
-                self._guess = 0 if set(outcome) == {"0"} else 1
-
-            def final_guess(self) -> int:
-                assert self._guess is not None
-                return self._guess
-
-        return _Trial()

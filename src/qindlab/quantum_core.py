@@ -103,9 +103,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2**self.num_wires
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 @dataclass(frozen=True)
 class UnitaryOperator:

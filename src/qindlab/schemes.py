@@ -31,10 +31,6 @@ _PRF_INPUT_CAP = 8
 _TABLE_CACHE_SIZE = 64
 
 
-class CoreDecompositionError(ValueError):
-    """Raised for schemes whose ciphertext is not a (randomness, core) prefix split."""
-
-
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, np.integer))
 
@@ -76,19 +72,12 @@ class ClassicalScheme:
     message_bits: int
     randomness_bits: int
     ciphertext_bits: int
-    key_space: str
+    key_space: int  # how many keys gen can return
     gen: Callable[[int, np.random.Generator], Any]
     enc: Callable[[Any, Any, Any], Any]
     dec: Callable[[Any, Any], Any]
     core: CoreFunction | None = None
     type2_completion: Callable[[Any, Any, Any], Any] | None = None
-
-
-def core_function(scheme: ClassicalScheme) -> CoreFunction:
-    """The (f, f_inverse) pair of a prefix-split scheme."""
-    if scheme.core is None:
-        raise CoreDecompositionError(f"scheme {scheme.name}: no core decomposition")
-    return scheme.core
 
 
 def is_quasi_length_preserving(scheme: ClassicalScheme) -> bool:
@@ -272,6 +261,7 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
         )
     m_mask = (1 << m) - 1
     t_mask = (1 << tau) - 1
+    keys = 2 ** max(prf.key_bits, 1)
 
     def enc(key, r, x):
         _check_range(r, tau, "randomness")
@@ -298,8 +288,8 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
         message_bits=m,
         randomness_bits=tau,
         ciphertext_bits=tau + m,
-        key_space=f"{prf.key_bits}-bit integer",
-        gen=lambda security, rng: int(rng.integers(2 ** max(prf.key_bits, 1))),
+        key_space=keys,
+        gen=lambda security, rng: int(rng.integers(keys)),
         enc=enc,
         dec=dec,
         core=core,
@@ -311,7 +301,7 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
     """Randomized scheme Enc_k(x; r) = pi_k(x || r), Dec = first m bits of inverse.
 
     The ciphertext has no (randomness, core) prefix split for tau > 0, so
-    core_function raises; at tau = 0 the prefix is empty and the whole
+    the scheme has no core; at tau = 0 the prefix is empty and the whole
     permutation is the (degenerate, quasi-length-preserving) core.
     """
     if m < 1 or tau < 0:
@@ -348,7 +338,7 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
         message_bits=m,
         randomness_bits=tau,
         ciphertext_bits=m + tau,
-        key_space=f"{family.key_bits}-bit integer",
+        key_space=2**family.key_bits,
         gen=lambda security, rng: family.init(security, rng),
         enc=enc,
         dec=dec,

@@ -7,6 +7,7 @@ import pytest
 
 from qindlab.attacks import (
     ATTACKS,
+    EntangledBlockProbe,
     HadamardBitProbe,
     bz_adversary,
     bz_expected_win_rate,
@@ -14,6 +15,7 @@ from qindlab.attacks import (
     qlp_distinguisher,
 )
 from qindlab.games import (
+    GAME_STEPS,
     GameSetupError,
     estimate_advantage,
     hoeffding_half_width,
@@ -21,6 +23,7 @@ from qindlab.games import (
     run_gqind_qcpa,
     run_qind_qcpa,
 )
+from qindlab.quantum_core import apply_unitary, hadamard_all
 from qindlab.schemes import (
     block_scheme,
     identity_permutation_family,
@@ -194,3 +197,37 @@ def test_block_scheme_needs_forced_probe():
         run_qind_qcpa(scheme, qlp_distinguisher(), np.random.default_rng(3))
     out = run_qind_qcpa(scheme, qlp_distinguisher(force=True), np.random.default_rng(3))
     assert out.guess in (0, 1)
+
+
+def test_entangled_block_probe_exact_rate_on_identity_blocks():
+    # GHZ survives H on both wires with P(00) = 1/2; |++> becomes |00>
+    scheme = block_scheme(prp_scheme(1, 0, identity_permutation_family(1)), 2)
+    probe = EntangledBlockProbe(2)
+    assert probe.exact_win_probability(scheme, 0, 0) == pytest.approx(0.25, abs=1e-12)
+    est = estimate_advantage(run_gqind_qcpa, scheme, probe, 400, seed=5)
+    assert abs(est.win_rate - 0.25) <= est.half_width
+
+
+def test_description_attacks_score_gqind_as_qind():
+    # the gqind registers form a product state, so the exact qind value holds
+    scheme = prp_scheme(2, 1, ideal_prp_family(3))
+    gqind = GAME_STEPS["gqind"][2]
+    for attack in (qlp_distinguisher(force=True), hadamard_bit_distinguisher(1)):
+        template = attack.template(scheme, "gqind")
+        tested = attack.tested_wires(scheme)
+        for key in keys_for(scheme, 2):
+            for r in range(2):
+                zero = []
+
+                def score(response):
+                    wires = tuple(response.ciphertext_wires[i] for i in tested)
+                    state = apply_unitary(hadamard_all(len(wires)), response.state, wires)
+                    amps = state.amplitudes.reshape((2,) * state.num_wires)
+                    index = tuple(0 if w in wires else slice(None) for w in range(state.num_wires))
+                    zero.append(float(np.sum(np.abs(amps[index]) ** 2)))
+
+                for b in (0, 1):
+                    gqind(scheme, key, template, b, r, np.random.default_rng([key, r, b]), score)
+                assert 0.5 * (zero[0] + 1.0 - zero[1]) == pytest.approx(
+                    attack.exact_win_probability(scheme, key, r), abs=1e-12
+                )

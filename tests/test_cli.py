@@ -270,6 +270,36 @@ def test_config_file_layers_under_flags(capsys, tmp_path):
     assert json.loads(out)["config"]["trials"] == 25
 
 
+def test_config_file_rejects_unknown_keys_and_adversaries(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 5, "jobs": 4, "trails": 5}))
+    code, out, err = run_cli(
+        capsys,
+        ["attack", "--name", "bz", "--game", "fqind", "--mode", "exact", "--config", str(cfg)],
+    )
+    assert code == 2
+    assert out == ""
+    assert "jobs, trails" in err
+    # config values skip argparse's choices
+    cfg.write_text(json.dumps({"adversary": "bz"}))
+    code, out, err = run_cli(capsys, ["secure", "--seed", "1", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown adversary 'bz'" in err
+
+
+def test_too_few_keys_for_distinct_keys_is_a_usage_error(capsys):
+    # the identity family has a single key
+    for argv in (
+        ["attack", "--name", "qlp", "--scheme", "prp", "--family", "identity", "--m", "2",
+         "--tau", "0", "--game", "qind", "--mode", "exact"],
+        ["equiv", "--scheme", "prp", "--family", "identity", "--m", "1", "--tau", "1",
+         "--seed", "1"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "distinct keys requested" in err
+
+
 def test_timing_key_is_present_unless_suppressed(capsys):
     argv = ["attack", "--name", "bz", "--scheme", "prf", "--m", "1", "--game", "fqind",
             "--mode", "exact"]

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 
 from qindlab import schemes
-from qindlab.attacks import qlp_distinguisher
+from qindlab.attacks import EntangledBlockProbe, qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
     GAME_RUNNERS,
     AdversaryStrategy,
     ConstantGuesser,
-    EntangledBlockProbe,
     GameOutcome,
     GameSetupError,
     RandomGuesser,
     estimate_advantage,
     exact_advantage,
     hoeffding_half_width,
-    replay_through_gqind,
     run_fqind_qcpa,
     run_gqind_qcpa,
     run_ind_qcpa,
@@ -46,7 +44,6 @@ class CiphertextReader(AdversaryStrategy):
     def __init__(self):
         self.name = "ciphertext-reader"
         self.games = ("ind",)
-        self.deterministic = True
 
     def start(self, scheme, rng):
         m = scheme.message_bits
@@ -201,22 +198,6 @@ def test_forced_challenge_arguments_are_honored():
         )
 
 
-def test_replay_reproduces_qind_statistics_for_deterministic_attacks():
-    scheme = prf_scheme(2, 1)
-    attack = qlp_distinguisher()
-    direct = estimate_advantage(run_qind_qcpa, scheme, attack, 60, seed=31)
-    replayed = estimate_advantage(
-        run_gqind_qcpa, scheme, replay_through_gqind(attack), 60, seed=31
-    )
-    assert direct.wins == replayed.wins
-    assert direct.win_rate == replayed.win_rate
-
-
-def test_replay_adapter_renames_strategy():
-    attack = qlp_distinguisher()
-    assert replay_through_gqind(attack).name == f"{attack.name}@gqind"
-
-
 def test_fqind_game_runs_and_relays_all_registers():
     scheme = prf_scheme(1, 1)
 
@@ -224,7 +205,6 @@ def test_fqind_game_runs_and_relays_all_registers():
         def __init__(self):
             self.name = "inspector"
             self.games = ("fqind",)
-            self.deterministic = True
             self.seen = None
 
         def start(self, strat_scheme, rng):
@@ -268,7 +248,6 @@ def test_gqind_private_wires_survive():
         def __init__(self):
             self.name = "keep-one"
             self.games = ("gqind",)
-            self.deterministic = True
             self.response = None
 
         def start(self, strat_scheme, rng):

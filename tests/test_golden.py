@@ -29,6 +29,18 @@ COMMANDS = {
     "equiv_prf_m2_tau2": [
         "equiv", "--scheme", "prf", "--m", "2", "--tau", "2", "--keys", "8", "--seed", "5",
     ],
+    "attack_qlp_gqind_prf_m2_exact": [
+        "attack", "--name", "qlp", "--game", "gqind", "--scheme", "prf", "--m", "2",
+        "--tau", "2", "--mode", "exact",
+    ],
+    "attack_hadamard_bit_gqind_prf_m1": [
+        "attack", "--name", "hadamard-bit", "--game", "gqind", "--scheme", "prf",
+        "--m", "1", "--tau", "2", "--trials", "300", "--seed", "9",
+    ],
+    "secure_entangled_blocks_mu2": [
+        "secure", "--adversary", "entangled-blocks", "--scheme", "block", "--mu", "2",
+        "--m", "2", "--tau", "4", "--game", "gqind", "--trials", "500", "--seed", "8",
+    ],
 }
 
 

@@ -9,10 +9,8 @@ from qindlab import schemes
 from qindlab.quantum_core import WIRE_CAP
 from qindlab.schemes import (
     ClassicalScheme,
-    CoreDecompositionError,
     block_scheme,
     constant_prf,
-    core_function,
     feistel_prp_family,
     ideal_prp_family,
     identity_permutation_family,
@@ -62,7 +60,7 @@ def test_prf_ciphertext_carries_randomness_prefix():
 def test_prf_core_xors_the_message():
     scheme = prf_scheme(2, 3)
     key = scheme.gen(16, RNG)
-    core = core_function(scheme)
+    core = scheme.core
     assert core.output_bits == 2
     for r in range(8):
         for x in range(4):
@@ -76,15 +74,13 @@ def test_prp_with_randomness_has_no_core():
     scheme = prp_scheme(2, 1, ideal_prp_family(3))
     assert scheme.core is None
     assert not is_quasi_length_preserving(scheme)
-    with pytest.raises(CoreDecompositionError, match="no core decomposition"):
-        core_function(scheme)
 
 
 def test_prp_without_randomness_is_quasi_length_preserving():
     scheme = prp_scheme(2, 0, ideal_prp_family(2))
     assert is_quasi_length_preserving(scheme)
     key = scheme.gen(16, RNG)
-    core = core_function(scheme)
+    core = scheme.core
     for x in range(4):
         assert core.f(key, 0, x) == scheme.enc(key, 0, x)
 

@@ -407,32 +407,40 @@ def _check_oracle_invariants() -> bool:
     return np.array_equal(composed, np.arange(u2.dim))
 
 
+class _RecordingProbe(games.AdversaryStrategy):
+    """Sends the template it was given, keeps the response and guesses 0.
+
+    The strategy is its own trial, so the response stays readable after the
+    game; it answers the qind and gqind template hooks alike.
+    """
+
+    name = "probe"
+
+    def __init__(self, template) -> None:
+        self.template = template
+        self.response = None
+
+    def start(self, scheme, rng):
+        return self
+
+    def qind_template(self):
+        return self.template
+
+    gqind_template = qind_template
+
+    def receive_challenge(self, response) -> None:
+        self.response = response
+
+    def final_guess(self) -> int:
+        return 0
+
+
 def _check_qind_challenger_oracle() -> bool:
     scheme = schemes.prf_scheme(1, 1)
     key, r, b = 7, 1, 1
     d0 = quantum_core.StateDescription(1, (quantum_core.H(0),))
     d1 = quantum_core.StateDescription(1, (quantum_core.X(0), quantum_core.H(0)))
-
-    class _Probe(games.AdversaryStrategy):
-        name = "probe"
-
-        def start(self, scheme_, rng_):
-            holder = {}
-
-            class _T:
-                def qind_template(self):
-                    return d0, d1
-
-                def receive_challenge(self, response):
-                    holder["state"] = response
-
-                def final_guess(self):
-                    return 0
-
-            self.holder = holder
-            return _T()
-
-    probe = _Probe()
+    probe = _RecordingProbe((d0, d1))
     games.run_qind_qcpa(
         scheme,
         probe,
@@ -441,7 +449,7 @@ def _check_qind_challenger_oracle() -> bool:
         challenge_bit=b,
         challenge_randomness=r,
     )
-    got = probe.holder["state"]
+    got = probe.response
     plain = quantum_core.run_gates(1, d1.gates)
     ext = quantum_core.append_wires(plain, 1)
     u2 = oracles.type2_unitary(scheme, key, r)
@@ -462,28 +470,9 @@ def _check_game_determinism() -> bool:
 
 def _check_non_relaying() -> bool:
     scheme = schemes.prf_scheme(2, 2)
-    seen = {}
-
-    class _Probe(games.AdversaryStrategy):
-        name = "probe"
-
-        def start(self, scheme_, rng_):
-            class _T:
-                def gqind_template(self):
-                    return games.GqindChallenge(
-                        quantum_core.zero_state(5), (0, 1), (2, 3)
-                    )
-
-                def receive_challenge(self, response):
-                    seen["response"] = response
-
-                def final_guess(self):
-                    return 0
-
-            return _T()
-
-    games.run_gqind_qcpa(scheme, _Probe(), np.random.default_rng(5))
-    resp = seen["response"]
+    probe = _RecordingProbe(games.GqindChallenge(quantum_core.zero_state(5), (0, 1), (2, 3)))
+    games.run_gqind_qcpa(scheme, probe, np.random.default_rng(5))
+    resp = probe.response
     # one private wire kept, one message register gone, ancilla appended
     return (
         resp.state.num_wires == 5 - 2 + 2

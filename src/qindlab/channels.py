@@ -8,13 +8,15 @@ adversary has already extracted, are excluded from the free set. The
 idealization this is compared against discards the input outright and emits
 the uniform mixture over free ciphertexts, so it leaks nothing.
 
-Both channels are represented explicitly: a uniform mixture of basis
-permutations (exhaustive enumeration of the plaintext injections when their
-count is small, i.i.d. samples otherwise; how a permutation acts off the
-embedded plaintexts never reaches the input) or a constant diagonal output.
-Bipartite application keeps a reference register untouched and contracts
-the system side through a cached pair-action table, so certification over
-hundreds of inputs and thousands of sampled permutations stays cheap.
+Both channels are represented explicitly: a uniform mixture of plaintext
+injections, held as a table with one row per injection and one column per
+plaintext (every injection when their count is small, i.i.d. samples
+otherwise; how a full permutation would act off the embedded plaintexts
+never reaches the input, so it is not stored), or a constant diagonal
+output. Bipartite application keeps a reference register untouched and
+contracts the system side through a cached pair-action table, so
+certification over hundreds of inputs and thousands of sampled injections
+stays cheap.
 
 certify_lemma_bound and certify_corollary_bound drive the comparison over a
 maximally entangled probe plus Haar-random purifications. The certified
@@ -45,19 +47,19 @@ _BOUND_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """Uniform mixture of basis permutations, or a constant diagonal channel.
+    """Uniform mixture of plaintext injections, or a constant diagonal channel.
 
     Inputs live on input_wires; the ancilla extension to output_wires happens
-    inside the channel. permutations: (K, 2^output_wires) int64, row k the
-    basis permutation of mixture member k, all weighted equally.
-    constant_output: (2^output_wires,) probability vector emitted regardless
-    of input. Exactly one of the two is set.
+    inside the channel. injections: (K, 2^input_wires) int64, row k the
+    ciphertext that mixture member k sends each plaintext y to, all members
+    weighted equally. constant_output: (2^output_wires,) probability vector
+    emitted regardless of input. Exactly one of the two is set.
     """
 
     input_wires: int
     output_wires: int
     kind: str
-    permutations: np.ndarray | None = None
+    injections: np.ndarray | None = None
     constant_output: np.ndarray | None = None
     exhaustive: bool = False
     _pair_cache: dict = field(default_factory=dict, repr=False)
@@ -74,7 +76,7 @@ class QuantumChannel:
     def weights(self) -> np.ndarray:
         if self.kind == "constant":
             return np.ones(1)
-        k = len(self.permutations)
+        k = len(self.injections)
         return np.full(k, 1.0 / k)
 
     def pair_action(self, s: int, t: int) -> np.ndarray:
@@ -86,16 +88,14 @@ class QuantumChannel:
         if cached is not None:
             return cached
         n = self.out_dim
-        shift = self.output_wires - self.input_wires
         if self.kind == "constant":
             out = np.zeros((n, n), dtype=np.complex128)
             if s == t:
                 np.fill_diagonal(out, self.constant_output)
         else:
-            se, te = s << shift, t << shift
-            flat = self.permutations[:, se].astype(np.int64) * n + self.permutations[:, te]
-            counts = np.bincount(flat, minlength=n * n)
-            out = (counts / len(self.permutations)).reshape(n, n).astype(np.complex128)
+            inj = self.injections
+            counts = np.bincount(inj[:, s] * n + inj[:, t], minlength=n * n)
+            out = (counts / len(inj)).reshape(n, n).astype(np.complex128)
         self._pair_cache[key] = out
         return out
 
@@ -139,30 +139,6 @@ def _free_set(message_bits: int, tau: int, taken) -> np.ndarray:
     return free
 
 
-def _free_and_domain(message_bits: int, tau: int, taken) -> tuple[np.ndarray, np.ndarray]:
-    free = _free_set(message_bits, tau, taken)
-    domain = np.array([y << tau for y in range(2**message_bits)], dtype=np.int64)
-    if len(free) < len(domain):
-        raise ValueError("fewer free ciphertexts than plaintexts")
-    return free, domain
-
-
-def _injection_to_permutation(
-    domain: np.ndarray, targets: np.ndarray, n: int
-) -> np.ndarray:
-    """Extend a domain->targets injection to a full basis permutation.
-
-    Leftover sources map to leftover targets in increasing order; inputs are
-    always supported on the embedded plaintexts, so the extension never acts.
-    """
-    perm = np.empty(n, dtype=np.int64)
-    perm[domain] = targets
-    rest_src = np.setdiff1d(np.arange(n, dtype=np.int64), domain, assume_unique=True)
-    rest_tgt = np.setdiff1d(np.arange(n, dtype=np.int64), targets, assume_unique=True)
-    perm[rest_src] = rest_tgt
-    return perm
-
-
 def avg_permutation_channel(
     message_bits: int,
     tau: int,
@@ -178,40 +154,29 @@ def avg_permutation_channel(
     meets an input. n_perm=None enumerates every injection (errors above
     EXHAUSTIVE_CAP); otherwise n_perm i.i.d. injections are drawn from rng.
     """
-    taken = tuple(taken)
-    free, domain = _free_and_domain(message_bits, tau, taken)
-    n = 2 ** (message_bits + tau)
+    free = _free_set(message_bits, tau, tuple(taken))
+    d = 2**message_bits
+    if len(free) < d:
+        raise ValueError("fewer free ciphertexts than plaintexts")
     if n_perm is None:
-        count = math.perm(len(free), len(domain))
+        count = math.perm(len(free), d)
         if count > EXHAUSTIVE_CAP:
             raise ValueError(
                 f"{count} injections exceed the exhaustive cap; pass n_perm to sample"
             )
-        perms = np.stack(
-            [
-                _injection_to_permutation(domain, np.array(chosen, dtype=np.int64), n)
-                for chosen in itertools.permutations(free.tolist(), len(domain))
-            ]
-        )
-        exhaustive = True
+        table = np.array(list(itertools.permutations(free.tolist(), d)), dtype=np.int64)
     else:
         if n_perm < 1:
             raise ValueError("n_perm must be >= 1")
         if rng is None:
             raise ValueError("sampling needs an explicit rng")
-        perms = np.stack(
-            [
-                _injection_to_permutation(domain, rng.permutation(free)[: len(domain)], n)
-                for _ in range(n_perm)
-            ]
-        )
-        exhaustive = False
+        table = np.stack([rng.permutation(free)[:d] for _ in range(n_perm)])
     return QuantumChannel(
         input_wires=message_bits,
         output_wires=message_bits + tau,
         kind="permutation-mixture",
-        permutations=perms,
-        exhaustive=exhaustive,
+        injections=table,
+        exhaustive=n_perm is None,
     )
 
 

@@ -52,7 +52,16 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# --family name -> permutation family on (block bits, feistel rounds)
+_FAMILIES: dict[str, Callable[[int, int], schemes.PermutationFamily]] = {
+    "ideal": lambda bits, rounds: schemes.ideal_prp_family(bits),
+    "feistel": lambda bits, rounds: schemes.feistel_prp_family(bits, rounds=rounds),
+    "identity": lambda bits, rounds: schemes.identity_permutation_family(bits),
+}
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="qindlab",
         description="Exact desk-scale experiments on quantum encryption oracles.",
@@ -76,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=_positive_int, default=None, help="message bits")
         p.add_argument("--tau", type=int, default=None, help="randomness bits")
         p.add_argument("--mu", type=_positive_int, default=None, help="block count")
-        p.add_argument("--family", choices=("ideal", "feistel", "identity"), default=None)
+        p.add_argument("--family", choices=tuple(_FAMILIES), default=None)
         p.add_argument("--rounds", type=_positive_int, default=None, help="feistel rounds")
 
     p_attack = sub.add_parser("attack", help="run a named adversary in a game")
@@ -114,14 +123,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("--m", type=_positive_int, default=None)
     p_equiv.add_argument("--tau", type=int, default=None)
     p_equiv.add_argument("--keys", type=_positive_int, default=None)
-    p_equiv.add_argument("--family", choices=("ideal", "feistel", "identity"), default=None)
+    p_equiv.add_argument("--family", choices=tuple(_FAMILIES), default=None)
     p_equiv.add_argument("--rounds", type=_positive_int, default=None)
     common(p_equiv)
 
     p_suite = sub.add_parser("suite", help="run the full acceptance battery")
     common(p_suite)
 
-    return parser
+    return parser, sub.choices
 
 
 _DEFAULTS: dict[str, dict] = {
@@ -173,8 +182,12 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults, echoed in full."""
+def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """flags > config file > defaults, echoed in full.
+
+    Every value must pass the choices of the subcommand's parser, so config
+    file entries are held to the same rule as flags.
+    """
     defaults = _DEFAULTS[args.command]
     from_file: dict = {}
     if getattr(args, "config", None):
@@ -198,6 +211,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             cfg[name] = from_file[name]
         else:
             cfg[name] = defaults.get(name)
+    for action in parser._actions:
+        if action.choices is not None and cfg[action.dest] not in action.choices:
+            allowed = ", ".join(action.choices)
+            raise UsageError(f"unknown {action.dest} {cfg[action.dest]!r}; choose from {allowed}")
     if isinstance(cfg.get("taken"), list):
         cfg["taken"] = tuple(int(t) for t in cfg["taken"])
     return cfg
@@ -218,14 +235,6 @@ def _resolve_seed(cfg: dict, required: bool) -> int | None:
     return seed
 
 
-def _build_family(name: str, block_bits: int, rounds: int) -> schemes.PermutationFamily:
-    if name == "ideal":
-        return schemes.ideal_prp_family(block_bits)
-    if name == "feistel":
-        return schemes.feistel_prp_family(block_bits, rounds=rounds)
-    return schemes.identity_permutation_family(block_bits)
-
-
 def _build_scheme(cfg: dict) -> schemes.ClassicalScheme:
     kind = cfg["scheme"]
     m, tau, mu = cfg["m"], cfg["tau"], cfg["mu"]
@@ -237,7 +246,7 @@ def _build_scheme(cfg: dict) -> schemes.ClassicalScheme:
         if tau < 1:
             raise UsageError("the prf scheme needs tau >= 1")
         return schemes.prf_scheme(m, tau)
-    base = schemes.prp_scheme(m, tau, _build_family(cfg["family"], m + tau, cfg["rounds"]))
+    base = schemes.prp_scheme(m, tau, _FAMILIES[cfg["family"]](m + tau, cfg["rounds"]))
     if kind == "prp":
         return base
     return schemes.block_scheme(base, mu)
@@ -310,8 +319,6 @@ def cmd_secure(cfg: dict) -> tuple[dict, int]:
     game = cfg["game"]
     _check_wire_budget(game, scheme)
     name = cfg["adversary"]
-    if name not in _SECURE_ADVERSARIES:
-        raise UsageError(f"unknown adversary {name!r}; choose from {', '.join(_SECURE_ADVERSARIES)}")
     strategy = _SECURE_ADVERSARIES[name](cfg)
     if game not in strategy.games:
         raise UsageError(f"{name} requires {'/'.join(strategy.games)}")
@@ -475,13 +482,13 @@ def _emit(doc: dict, cfg: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(args, commands[args.command])
         start = time.perf_counter()
         results, code, *suite_timing = _COMMANDS[args.command](cfg)
         elapsed = time.perf_counter() - start

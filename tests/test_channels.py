@@ -55,7 +55,7 @@ def test_corollary_bound_reduces_to_lemma_without_taken_outputs():
 def test_exhaustive_channel_counts_all_injections():
     ch = avg_permutation_channel(1, 1)
     # 2 plaintexts into 4 free slots: 4 * 3 ordered choices
-    assert ch.permutations.shape[0] == 12
+    assert ch.injections.shape[0] == 12
     assert ch.exhaustive
     assert ch.input_wires == 1
     assert ch.output_wires == 2
@@ -73,7 +73,7 @@ def test_exhaustive_cap_guides_to_sampling():
         avg_permutation_channel(2, 3)  # 32P4 injections, too many
     ch = avg_permutation_channel(2, 3, n_perm=50, rng=np.random.default_rng(0))
     assert not ch.exhaustive
-    assert ch.permutations.shape[0] == 50
+    assert ch.injections.shape[0] == 50
 
 
 def test_sampling_requires_rng():
@@ -228,4 +228,29 @@ def test_pair_action_validates_input_range():
 def test_channel_weights_sum_to_one():
     ch = avg_permutation_channel(1, 2, n_perm=64, rng=np.random.default_rng(2))
     assert float(np.sum(ch.weights)) == pytest.approx(1.0)
-    assert EXHAUSTIVE_CAP >= ch.permutations.shape[0]
+    assert EXHAUSTIVE_CAP >= ch.injections.shape[0]
+
+
+@pytest.mark.parametrize(
+    "m, tau, taken, n_perm",
+    [(1, 1, (), None), (1, 2, (1, 5), None), (2, 1, (), None), (1, 3, (), 200)],
+)
+def test_channel_application_matches_the_dense_isometries(m, tau, taken, n_perm):
+    ch = avg_permutation_channel(m, tau, taken, n_perm=n_perm, rng=np.random.default_rng(3))
+    inj = ch.injections
+    assert inj.shape[1] == 2**m
+    if n_perm is None:
+        free = 2 ** (m + tau) - len(taken)
+        assert len(inj) == math.perm(free, 2**m)
+        assert len({tuple(row) for row in inj.tolist()}) == len(inj)
+        assert not np.isin(inj, taken).any()
+    rho = random_pure_bipartite(m, m, np.random.default_rng(17)).to_density().matrix
+    want = np.zeros((2 ** (2 * m + tau),) * 2, dtype=np.complex128)
+    for row in inj:
+        v = np.zeros((2 ** (m + tau), 2**m))
+        v[row, np.arange(2**m)] = 1.0
+        big = np.kron(np.eye(2**m), v)
+        want += big @ rho @ big.conj().T
+    want /= len(inj)
+    got = apply_channel_bipartite(ch, DensityMatrix(2 * m, rho), m).matrix
+    assert np.max(np.abs(got - want)) <= 1e-12

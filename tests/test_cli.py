@@ -287,6 +287,23 @@ def test_config_file_rejects_unknown_keys_and_adversaries(capsys, tmp_path):
     assert "unknown adversary 'bz'" in err
 
 
+def test_config_file_values_pass_the_flag_choices(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for argv, values in (
+        (["secure", "--seed", "1", "--trials", "20"], {"family": "nope"}),
+        (["secure", "--seed", "1", "--trials", "20"], {"scheme": "bogus"}),
+        # secure takes only the prp and block schemes
+        (["secure", "--seed", "1", "--trials", "20"], {"scheme": "prf"}),
+        (["lemma", "--seed", "1"], {"mode": "nope"}),
+    ):
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == 2, values
+        assert out == ""
+        (key, value), = values.items()
+        assert f"unknown {key} {value!r}; choose from" in err
+
+
 def test_too_few_keys_for_distinct_keys_is_a_usage_error(capsys):
     # the identity family has a single key
     for argv in (

@@ -41,6 +41,18 @@ COMMANDS = {
         "secure", "--adversary", "entangled-blocks", "--scheme", "block", "--mu", "2",
         "--m", "2", "--tau", "4", "--game", "gqind", "--trials", "500", "--seed", "8",
     ],
+    "lemma_sampled_m1_tau3": [
+        "lemma", "--m", "1", "--tau", "3", "--samples", "50", "--n-perm", "500",
+        "--seed", "11",
+    ],
+    "lemma_taken_sampled_m2_tau3": [
+        "lemma", "--m", "2", "--tau", "3", "--taken", "3,17,22,30", "--samples", "4",
+        "--n-perm", "500", "--seed", "2",
+    ],
+    "lemma_taken_exact_m2_tau2": [
+        "lemma", "--m", "2", "--tau", "2", "--taken", "0,1,6,11,12,13,14,15",
+        "--mode", "exact",
+    ],
 }
 
 

@@ -166,7 +166,7 @@ def criterion_5() -> CriterionResult:
         details["max_trace_distance"] = rep.max_trace_distance
         details["margin"] = rep.margin
         details["worst_input"] = rep.worst_input
-        return rep.satisfied and rep.bound == 0.5
+        return rep.satisfied and rep.max_trace_distance <= rep.bound + 1e-12 and rep.bound == 0.5
 
     return _timed(5, "lemma bound 2^(2-tau) holds on sampled channel", body, limit=60.0)
 
@@ -182,7 +182,11 @@ def criterion_6() -> CriterionResult:
         details["bound"] = rep.bound
         details["expected_bound"] = 4.0 / (2.0**3 - len(taken) / 2.0)
         details["max_trace_distance"] = rep.max_trace_distance
-        ok = rep.satisfied and abs(rep.bound - details["expected_bound"]) <= EXACT_ATOL
+        ok = (
+            rep.satisfied
+            and rep.max_trace_distance <= rep.bound + 1e-12
+            and abs(rep.bound - details["expected_bound"]) <= EXACT_ATOL
+        )
 
         a = channels.certify_lemma_bound(1, 3, samples=200, n_perm=2000, seed=707)
         b = channels.certify_corollary_bound(1, 3, (), samples=200, n_perm=2000, seed=707)

@@ -4,64 +4,57 @@ The encryption side of a fresh-randomness, fresh-key cipher is modeled as a
 channel from m plaintext wires to m+tau ciphertext wires: attach |0^tau>,
 then send each embedded plaintext to a uniformly random still-free
 ciphertext, injectively across plaintexts. "Taken" ciphertexts, outputs the
-adversary has already extracted, are excluded from the free set. The
-idealization this is compared against discards the input outright and emits
-the uniform mixture over free ciphertexts, so it leaks nothing.
+adversary has already extracted, are excluded from the free set F. The
+idealization discards the input and emits the uniform mixture over F.
 
-Both channels are represented explicitly: a uniform mixture of plaintext
-injections, held as a table with one row per injection and one column per
-plaintext (every injection when their count is small, i.i.d. samples
-otherwise; how a full permutation would act off the embedded plaintexts
-never reaches the input, so it is not stored), or a constant diagonal
-output. Bipartite application keeps a reference register untouched and
-contracts the system side through a cached pair-action table, so
-certification over hundreds of inputs and thousands of sampled injections
-stays cheap.
+Averaged over every injection into F, |s><t| goes to I_F/|F| when s = t and
+to (J_F - I_F)/(|F|(|F| - 1)) otherwise, J_F the all-ones block on F; the
+ideal channel keeps the diagonal part only. Both are held as F alone, in
+closed form at any size; a sampled mixture holds a table of injections.
+Bipartite application keeps a reference register untouched and contracts
+the system side through a cached pair-action table.
 
-certify_lemma_bound and certify_corollary_bound drive the comparison over a
-maximally entangled probe plus Haar-random purifications. The certified
-headline is the per-input trace distance of the outputs, a lower-bound
-witness of the channel distinguishability: a violation falsifies the bound,
-staying under it is consistency. The full difference trace norm is reported
-alongside.
+certify_lemma_bound and certify_corollary_bound compare the two over a
+maximally entangled probe plus Haar-random purifications. On a probe the
+exact difference is X tensor (J_F - I_F)/(|F|(|F| - 1)), X the sum of its
+off-diagonal plaintext blocks, so its trace distance is ||X||_1 / |F|: the
+verdict. The dense outputs' per-input trace distance, of the sampled mixture
+when one is used, is reported as the witness.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quantum_core import (
+    _DENSE_CAP,
     DensityMatrix,
     maximally_entangled,
     random_pure_bipartite,
     trace_norm,
 )
 
-EXHAUSTIVE_CAP = 200_000
 _BOUND_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """Uniform mixture of plaintext injections, or a constant diagonal channel.
+    """The exact injection average or the ideal channel on a free set, or a
+    sampled mixture of plaintext injections.
 
     Inputs live on input_wires; the ancilla extension to output_wires happens
-    inside the channel. injections: (K, 2^input_wires) int64, row k the
-    ciphertext that mixture member k sends each plaintext y to, all members
-    weighted equally. constant_output: (2^output_wires,) probability vector
-    emitted regardless of input. Exactly one of the two is set.
+    inside the channel. free: the sorted int64 free ciphertexts. injections:
+    sampled mixtures only, (K, 2^input_wires) int64, row k the ciphertext
+    that member k sends each plaintext to, members weighted equally.
     """
 
     input_wires: int
     output_wires: int
     kind: str
+    free: np.ndarray
     injections: np.ndarray | None = None
-    constant_output: np.ndarray | None = None
-    exhaustive: bool = False
     _pair_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -74,7 +67,7 @@ class QuantumChannel:
 
     @property
     def weights(self) -> np.ndarray:
-        if self.kind == "constant":
+        if self.injections is None:
             return np.ones(1)
         k = len(self.injections)
         return np.full(k, 1.0 / k)
@@ -88,14 +81,20 @@ class QuantumChannel:
         if cached is not None:
             return cached
         n = self.out_dim
-        if self.kind == "constant":
-            out = np.zeros((n, n), dtype=np.complex128)
-            if s == t:
-                np.fill_diagonal(out, self.constant_output)
-        else:
+        if self.injections is not None:
             inj = self.injections
             counts = np.bincount(inj[:, s] * n + inj[:, t], minlength=n * n)
             out = (counts / len(inj)).reshape(n, n).astype(np.complex128)
+        else:
+            f = len(self.free)
+            block = np.zeros((f, f))
+            if s == t:
+                np.fill_diagonal(block, 1.0 / f)
+            elif self.kind != "constant":
+                block[:] = 1.0 / (f * (f - 1))
+                np.fill_diagonal(block, 0.0)
+            out = np.zeros((n, n), dtype=np.complex128)
+            out[np.ix_(self.free, self.free)] = block
         self._pair_cache[key] = out
         return out
 
@@ -133,10 +132,7 @@ def _free_set(message_bits: int, tau: int, taken) -> np.ndarray:
     taken_set = {int(t) for t in taken}
     if any(t < 0 or t >= n for t in taken_set):
         raise ValueError("taken ciphertexts out of range")
-    free = np.array(sorted(set(range(n)) - taken_set), dtype=np.int64)
-    if len(free) == 0:
-        raise ValueError("every ciphertext is taken")
-    return free
+    return np.array(sorted(set(range(n)) - taken_set), dtype=np.int64)
 
 
 def avg_permutation_channel(
@@ -151,21 +147,16 @@ def avg_permutation_channel(
 
     Equivalent to averaging over all basis permutations that keep taken
     outputs untouched, since only the action on embedded plaintexts ever
-    meets an input. n_perm=None enumerates every injection (errors above
-    EXHAUSTIVE_CAP); otherwise n_perm i.i.d. injections are drawn from rng.
+    meets an input. n_perm=None gives the exact average over every
+    injection, in closed form at any size; otherwise n_perm i.i.d.
+    injections are drawn from rng.
     """
     free = _free_set(message_bits, tau, tuple(taken))
     d = 2**message_bits
     if len(free) < d:
         raise ValueError("fewer free ciphertexts than plaintexts")
-    if n_perm is None:
-        count = math.perm(len(free), d)
-        if count > EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"{count} injections exceed the exhaustive cap; pass n_perm to sample"
-            )
-        table = np.array(list(itertools.permutations(free.tolist(), d)), dtype=np.int64)
-    else:
+    table = None
+    if n_perm is not None:
         if n_perm < 1:
             raise ValueError("n_perm must be >= 1")
         if rng is None:
@@ -175,8 +166,8 @@ def avg_permutation_channel(
         input_wires=message_bits,
         output_wires=message_bits + tau,
         kind="permutation-mixture",
+        free=free,
         injections=table,
-        exhaustive=n_perm is None,
     )
 
 
@@ -187,14 +178,13 @@ def constant_mixed_channel(message_bits: int, tau: int, taken=()) -> QuantumChan
     taken set may shrink the free set all the way down to a single output.
     """
     free = _free_set(message_bits, tau, tuple(taken))
-    n = 2 ** (message_bits + tau)
-    p = np.zeros(n, dtype=np.float64)
-    p[free] = 1.0 / len(free)
+    if len(free) == 0:
+        raise ValueError("every ciphertext is taken")
     return QuantumChannel(
         input_wires=message_bits,
         output_wires=message_bits + tau,
         kind="constant",
-        constant_output=p,
+        free=free,
     )
 
 
@@ -215,14 +205,15 @@ def corollary_bound(message_bits: int, tau: int, taken_count: int) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Worst observed channel-output difference against a stated bound.
+    """Channel-output differences against a stated bound.
 
-    max_trace_distance is the headline lower-bound witness compared against
-    the bound; max_difference_trace_norm (twice the distance) is carried for
-    the full-norm reading of the same inequality. vacuous marks bounds >= 1
-    that no trace distance could ever violate. chi_c fields are filled only
-    on exhaustive runs with one reference wire, where the coherence block of
-    the maximally entangled probe has a closed form.
+    satisfied compares exact_trace_distance, the exact channel's distance
+    maximized over the run's probes, with the bound. max_trace_distance,
+    worst_input and margin describe the probe witness of the channel in use
+    (sampled when n_perm is set); max_difference_trace_norm is twice the
+    distance. taken_count counts distinct taken outputs. vacuous marks
+    bounds >= 1 that no trace distance could violate. chi_c fields are filled
+    only on exact runs with one reference wire.
     """
 
     message_bits: int
@@ -231,6 +222,7 @@ class BoundReport:
     bound: float
     max_trace_distance: float
     max_difference_trace_norm: float
+    exact_trace_distance: float
     margin: float
     worst_input: str
     samples: int
@@ -241,18 +233,10 @@ class BoundReport:
     chi_c_trace_norm: float | None = None
 
 
-def _coherence_block(delta: np.ndarray, message_bits: int, n_out: int) -> np.ndarray:
-    """2^m times the (ref=0, ref=1) block of a one-reference-wire difference."""
-    r = 2**message_bits
-    block = delta.reshape(r, n_out, r, n_out)[0, :, 1, :]
-    return (2**message_bits) * block
-
-
 def _certify(
     message_bits: int,
     tau: int,
     taken: tuple,
-    bound: float,
     samples: int,
     n_perm: int | None,
     rng: np.random.Generator | None,
@@ -260,16 +244,27 @@ def _certify(
 ) -> BoundReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if 2 * message_bits + tau > _DENSE_CAP:
+        raise ValueError(
+            f"certification needs {2 * message_bits + tau} wires; "
+            f"dense matrices are capped at {_DENSE_CAP}"
+        )
+    free = _free_set(message_bits, tau, taken)
+    taken_count = 2 ** (message_bits + tau) - len(free)
+    # with no taken outputs this is lemma_bound(tau) exactly
+    bound = corollary_bound(message_bits, tau, taken_count)
     if rng is None:
-        # exhaustive single-probe runs draw nothing; anything sampled is seeded
+        # exact single-probe runs draw nothing; anything sampled is seeded
         if seed is None and (n_perm is not None or samples > 1):
             raise ValueError("sampled certification needs rng or seed")
         rng = np.random.default_rng(seed)
     enc = avg_permutation_channel(message_bits, tau, taken, n_perm=n_perm, rng=rng)
     ideal = constant_mixed_channel(message_bits, tau, taken)
 
+    d = 2**message_bits
     worst_norm = -1.0
     worst_name = ""
+    exact = 0.0
     chi_eigs: tuple[float, ...] | None = None
     chi_norm: float | None = None
     for i in range(samples):
@@ -280,6 +275,10 @@ def _certify(
             probe = random_pure_bipartite(message_bits, message_bits, rng)
             name = f"haar-{i}"
         rho = probe.to_density()
+        # the exact channel's distance on this probe: ||X||_1 / |F|
+        rho4 = rho.matrix.reshape(d, d, d, d)
+        off_diagonal = np.einsum("asbt->ab", rho4) - np.einsum("asbs->ab", rho4)
+        exact = max(exact, trace_norm(off_diagonal) / len(free))
         delta = (
             apply_channel_bipartite(enc, rho, message_bits).matrix
             - apply_channel_bipartite(ideal, rho, message_bits).matrix
@@ -288,8 +287,9 @@ def _certify(
         if norm > worst_norm:
             worst_norm = norm
             worst_name = name
-        if i == 0 and enc.exhaustive and message_bits == 1:
-            chi = _coherence_block(delta, message_bits, enc.out_dim)
+        if i == 0 and n_perm is None and message_bits == 1:
+            # 2^m times the (ref=0, ref=1) block of the difference
+            chi = d * delta.reshape(d, enc.out_dim, d, enc.out_dim)[0, :, 1, :]
             if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
                 raise AssertionError("coherence block is not Hermitian")
             eigs = np.linalg.eigvalsh(chi)
@@ -299,15 +299,16 @@ def _certify(
     return BoundReport(
         message_bits=message_bits,
         tau=tau,
-        taken_count=len(taken),
+        taken_count=taken_count,
         bound=bound,
         max_trace_distance=distance,
         max_difference_trace_norm=worst_norm,
+        exact_trace_distance=exact,
         margin=bound - distance,
         worst_input=worst_name,
         samples=samples,
         n_perm=n_perm,
-        satisfied=bool(distance <= bound + _BOUND_TOL),
+        satisfied=bool(exact <= bound + _BOUND_TOL),
         vacuous=bool(bound >= 1.0),
         chi_c_eigenvalues=chi_eigs,
         chi_c_trace_norm=chi_norm,
@@ -324,8 +325,9 @@ def certify_lemma_bound(
     seed: int | None = None,
 ) -> BoundReport:
     """Check the taken-free bound 2^(2 - tau) on maximally entangled plus
-    Haar-random probes; exhaustive injection enumeration when n_perm is None."""
-    return _certify(message_bits, tau, (), lemma_bound(tau), samples, n_perm, rng, seed)
+    Haar-random probes; the exact injection average when n_perm is None,
+    n_perm sampled injections otherwise."""
+    return _certify(message_bits, tau, (), samples, n_perm, rng, seed)
 
 
 def certify_corollary_bound(
@@ -339,8 +341,6 @@ def certify_corollary_bound(
     seed: int | None = None,
 ) -> BoundReport:
     """Same certification with taken ciphertexts excluded and the bound
-    4 / (2^tau - |T| / 2^m); with no taken set this reproduces the
-    taken-free certification exactly."""
-    taken = tuple(taken)
-    bound = corollary_bound(message_bits, tau, len(taken))
-    return _certify(message_bits, tau, taken, bound, samples, n_perm, rng, seed)
+    4 / (2^tau - |T| / 2^m), |T| counting distinct taken outputs; with no
+    taken set this reproduces the taken-free certification exactly."""
+    return _certify(message_bits, tau, tuple(taken), samples, n_perm, rng, seed)

@@ -129,9 +129,6 @@ class UnitaryOperator:
     def dim(self) -> int:
         return 2**self.num_wires
 
-    def adjoint(self) -> UnitaryOperator:
-        return UnitaryOperator(self.num_wires, self.matrix.conj().T)
-
 
 _GATE_ARITY = {"h": 1, "x": 1, "z": 1, "cnot": 2}
 

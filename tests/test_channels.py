@@ -1,5 +1,6 @@
 """Averaged encryption channels and the distance bound certificates."""
 
+import itertools
 import math
 from dataclasses import asdict
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from qindlab.channels import (
-    EXHAUSTIVE_CAP,
     BoundReport,
     apply_channel_bipartite,
     avg_permutation_channel,
@@ -52,13 +52,12 @@ def test_corollary_bound_reduces_to_lemma_without_taken_outputs():
             assert corollary_bound(m, tau, 0) == pytest.approx(lemma_bound(tau))
 
 
-def test_exhaustive_channel_counts_all_injections():
-    ch = avg_permutation_channel(1, 1)
-    # 2 plaintexts into 4 free slots: 4 * 3 ordered choices
-    assert ch.injections.shape[0] == 12
-    assert ch.exhaustive
+def test_exact_channel_holds_only_the_free_set():
+    ch = avg_permutation_channel(1, 2, (1, 5, 5))
+    assert ch.injections is None
+    assert ch.free.tolist() == [0, 2, 3, 4, 6, 7]
     assert ch.input_wires == 1
-    assert ch.output_wires == 2
+    assert ch.output_wires == 3
 
 
 def test_exhaustive_channel_sends_basis_states_to_uniform():
@@ -68,12 +67,16 @@ def test_exhaustive_channel_sends_basis_states_to_uniform():
         assert np.allclose(rho.matrix, np.eye(4) / 4, atol=1e-12)
 
 
-def test_exhaustive_cap_guides_to_sampling():
-    with pytest.raises(ValueError, match="n_perm"):
-        avg_permutation_channel(2, 3)  # 32P4 injections, too many
+def test_exact_channel_builds_at_any_size():
+    # 1024P4 injections; the closed form never lists them
+    ch = avg_permutation_channel(2, 8)
+    assert len(ch.free) == 1024
+    off = ch.pair_action(0, 3)
+    assert off[5, 9] == 1 / (1024 * 1023) and off[5, 5] == 0
     ch = avg_permutation_channel(2, 3, n_perm=50, rng=np.random.default_rng(0))
-    assert not ch.exhaustive
-    assert ch.injections.shape[0] == 50
+    assert ch.injections.shape == (50, 4)
+    with pytest.raises(ValueError, match="fewer free"):
+        avg_permutation_channel(2, 1, taken=range(5))
 
 
 def test_sampling_requires_rng():
@@ -210,7 +213,7 @@ def test_sampled_certificates_refuse_to_run_unseeded(certify):
         certify(1, 2, samples=1, n_perm=50)
     with pytest.raises(ValueError, match="rng or seed"):
         certify(1, 2, samples=3)
-    # exhaustive single-probe runs draw nothing and need no seed
+    # exact single-probe runs draw nothing and need no seed
     assert certify(1, 1, samples=1).satisfied
 
 
@@ -228,22 +231,32 @@ def test_pair_action_validates_input_range():
 def test_channel_weights_sum_to_one():
     ch = avg_permutation_channel(1, 2, n_perm=64, rng=np.random.default_rng(2))
     assert float(np.sum(ch.weights)) == pytest.approx(1.0)
-    assert EXHAUSTIVE_CAP >= ch.injections.shape[0]
+    assert ch.injections.shape == (64, 2)
+    assert avg_permutation_channel(1, 2).weights.tolist() == [1.0]
 
 
 @pytest.mark.parametrize(
     "m, tau, taken, n_perm",
-    [(1, 1, (), None), (1, 2, (1, 5), None), (2, 1, (), None), (1, 3, (), 200)],
+    [
+        (1, 1, (), None),
+        (1, 2, (1, 5), None),
+        (2, 1, (), None),
+        (1, 3, (), 200),
+        (1, 3, (3, 6, 9, 12), None),
+        (2, 1, (3,), None),
+        (2, 2, (0, 1, 6, 11, 12, 13, 14, 15), None),
+    ],
 )
 def test_channel_application_matches_the_dense_isometries(m, tau, taken, n_perm):
+    """The closed form against the mean over every injection, listed here."""
     ch = avg_permutation_channel(m, tau, taken, n_perm=n_perm, rng=np.random.default_rng(3))
-    inj = ch.injections
-    assert inj.shape[1] == 2**m
     if n_perm is None:
-        free = 2 ** (m + tau) - len(taken)
-        assert len(inj) == math.perm(free, 2**m)
-        assert len({tuple(row) for row in inj.tolist()}) == len(inj)
-        assert not np.isin(inj, taken).any()
+        free = sorted(set(range(2 ** (m + tau))) - set(taken))
+        inj = np.array(list(itertools.permutations(free, 2**m)))
+        assert len(inj) == math.perm(len(free), 2**m) <= 2000
+    else:
+        inj = ch.injections
+        assert inj.shape == (n_perm, 2**m)
     rho = random_pure_bipartite(m, m, np.random.default_rng(17)).to_density().matrix
     want = np.zeros((2 ** (2 * m + tau),) * 2, dtype=np.complex128)
     for row in inj:
@@ -254,3 +267,38 @@ def test_channel_application_matches_the_dense_isometries(m, tau, taken, n_perm)
     want /= len(inj)
     got = apply_channel_bipartite(ch, DensityMatrix(2 * m, rho), m).matrix
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_exact_distance_equals_the_witness_on_exact_runs():
+    for report in (
+        certify_lemma_bound(1, 2, samples=20, seed=3),
+        certify_corollary_bound(2, 2, (0, 1, 6, 11, 12, 13, 14, 15), samples=10, seed=5),
+    ):
+        assert report.n_perm is None
+        assert abs(report.exact_trace_distance - report.max_trace_distance) <= 1e-12
+
+
+def test_sampled_certificate_takes_its_verdict_from_the_exact_channel():
+    report = certify_lemma_bound(2, 4, samples=50, n_perm=500, seed=4)
+    # 500 injections over 64 ciphertexts leave the sampled witness above the bound
+    assert report.max_trace_distance > report.bound == 0.25
+    assert report.exact_trace_distance == pytest.approx(0.0274, abs=1e-4)
+    assert report.satisfied
+
+
+@pytest.mark.parametrize(
+    "m, tau, taken", [(2, 3, ()), (2, 4, ()), (2, 4, tuple(range(0, 64, 8)))]
+)
+def test_maximally_entangled_probe_distance_has_the_closed_form(m, tau, taken):
+    report = certify_corollary_bound(m, tau, taken, samples=1)
+    d, free = 2**m, 2 ** (m + tau) - len(taken)
+    expected = 2 * (d - 1) / (d * free)
+    assert report.max_trace_distance == pytest.approx(expected, abs=1e-12)
+    assert report.exact_trace_distance == pytest.approx(expected, abs=1e-12)
+
+
+def test_repeated_taken_outputs_count_once():
+    once = certify_corollary_bound(1, 2, (0,), samples=1)
+    repeated = certify_corollary_bound(1, 2, (0,) * 6, samples=1)
+    assert repeated.taken_count == 1
+    assert asdict(repeated) == asdict(once)

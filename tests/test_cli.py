@@ -96,6 +96,17 @@ def test_lemma_sampled_run_passes(capsys):
     assert results["bound_kind"] == "taken-free"
 
 
+def test_lemma_sampled_run_is_judged_by_the_exact_channel(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["lemma", "--m", "2", "--tau", "4", "--n-perm", "500", "--samples", "50",
+         "--seed", "4", "--no-timing"],
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["exact_trace_distance"] < results["bound"] < results["max_trace_distance"]
+
+
 def test_lemma_taken_outputs_flow_through(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -353,6 +364,17 @@ def test_wire_budget_is_checked_before_running(capsys):
     )
     assert code == 2
     assert "wires" in err
+
+
+def test_lemma_above_the_dense_cap_exits_2_before_building(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built a channel above the dense cap")
+
+    monkeypatch.setattr(cli.channels, "avg_permutation_channel", never)
+    code, out, err = run_cli(capsys, ["lemma", "--m", "1", "--tau", "9", "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "certification needs 11 wires" in err
 
 
 def _declared_console_script():

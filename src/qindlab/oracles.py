@@ -22,18 +22,8 @@ from typing import Any
 
 import numpy as np
 
-from .quantum_core import StateVector, UnitaryOperator, apply_basis_permutation
+from .quantum_core import StateVector, UnitaryOperator, _check_permutation, _permute_basis
 from .schemes import ClassicalScheme
-
-
-def _check_permutation(perm: np.ndarray, num_wires: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.int64)
-    d = 2**num_wires
-    if perm.shape != (d,):
-        raise ValueError(f"permutation length {perm.shape} does not fit {num_wires} wires")
-    if perm.min() < 0 or perm.max() >= d or np.bincount(perm, minlength=d).max() != 1:
-        raise ValueError("index table is not a permutation")
-    return perm
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,8 @@ class EncryptionUnitary:
         return UnitaryOperator(self.num_wires, mat)
 
     def apply(self, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-        return apply_basis_permutation(self.permutation, state, wires)
+        # the table was checked to be a permutation at construction
+        return _permute_basis(self.permutation, state, wires)
 
     def adjoint(self) -> EncryptionUnitary:
         return EncryptionUnitary(

@@ -7,14 +7,18 @@ written MSB-first reads off wire contents directly, and an m-bit plaintext
 integer equals the basis index of its register. Nothing else in the package
 reinterprets bit order.
 
-Values are immutable: constructors copy and freeze their arrays and every
-operation returns a new value. Randomness always enters through an explicitly
-passed ``numpy.random.Generator``.
+Values are immutable and every operation returns a new value. The public
+constructors (``StateVector(...)`` and the other value classes) copy the
+array they are given, validate it and freeze the copy. States this module
+builds itself take ownership of their freshly computed array instead: no
+copy, but the array is still frozen and its norm still checked. Randomness
+always enters through an explicitly passed ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +66,7 @@ class StateVector:
         _check_wire_count(self.num_wires)
         arr = _frozen_array(self.amplitudes, (2**self.num_wires,))
         object.__setattr__(self, "amplitudes", arr)
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+        _check_norm(arr)
 
     @property
     def dim(self) -> int:
@@ -75,6 +77,26 @@ class StateVector:
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.num_wires, np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+def _check_norm(amplitudes: np.ndarray) -> None:
+    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+
+
+def _owned_state(num_wires: int, amplitudes: np.ndarray) -> StateVector:
+    """A state holding a fresh array computed in this module, without copying it.
+
+    The caller hands the array over and keeps no other reference to it. The
+    array is frozen and its norm checked, as the public constructor does.
+    """
+    amplitudes.setflags(write=False)
+    _check_norm(amplitudes)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "num_wires", num_wires)
+    object.__setattr__(state, "amplitudes", amplitudes)
+    return state
 
 
 @dataclass(frozen=True)
@@ -212,9 +234,10 @@ def state_from_bits(bits: str) -> StateVector:
     """Computational-basis state |bits>, wire 0 taken from bits[0] (MSB)."""
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"bits must be a nonempty string over 0/1, got {bits!r}")
+    _check_wire_count(len(bits))
     amp = np.zeros(2 ** len(bits), dtype=np.complex128)
     amp[int(bits, 2)] = 1.0
-    return StateVector(len(bits), amp)
+    return _owned_state(len(bits), amp)
 
 
 def zero_state(num_wires: int) -> StateVector:
@@ -265,6 +288,39 @@ def _check_wires(num_wires: int, wires: tuple[int, ...], expected: int | None = 
         raise ValueError(f"wires {wires} out of range for {num_wires}-wire state")
 
 
+@functools.lru_cache(maxsize=None)
+def _axis_order(num_wires: int, wires: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Wire order with the register first, in listed order, then the other
+    wires in ascending order; and the order that undoes it."""
+    order = tuple(wires) + tuple(w for w in range(num_wires) if w not in wires)
+    return order, tuple(int(a) for a in np.argsort(order))
+
+
+def _register_view(state: StateVector, wires: tuple[int, ...]):
+    """The amplitudes as (before, 2^k, after), the register on the middle axis.
+
+    An in-order contiguous register [s, s+k) is a view with no copy, shaped
+    (2^s, 2^k, 2^(n-s-k)), and its plan is None. Any other register is one
+    transposed copy shaped (1, 2^k, 2^(n-k)), the other wires in ascending
+    order on the last axis, and its plan is the ``_axis_order``. Returns the
+    array and the plan ``_flat_amplitudes`` needs to undo the layout.
+    """
+    n, k, s = state.num_wires, len(wires), wires[0] if wires else 0
+    if wires == tuple(range(s, s + k)):
+        return state.amplitudes.reshape(2**s, 2**k, 2 ** (n - s - k)), None
+    plan = _axis_order(n, wires)
+    gathered = state.amplitudes.reshape((2,) * n).transpose(plan[0])
+    return gathered.reshape(1, 2**k, -1), plan
+
+
+def _flat_amplitudes(block: np.ndarray, plan) -> np.ndarray:
+    """Flat amplitudes of an array laid out as ``_register_view`` lays them."""
+    if plan is None:
+        return block.reshape(-1)
+    order, inverse = plan
+    return block.reshape((2,) * len(order)).transpose(inverse).reshape(-1)
+
+
 def apply_unitary(
     unitary: UnitaryOperator, state: StateVector, wires: tuple[int, ...] | None = None
 ) -> StateVector:
@@ -273,13 +329,36 @@ def apply_unitary(
         wires = tuple(range(state.num_wires))
     wires = tuple(wires)
     _check_wires(state.num_wires, wires, unitary.num_wires)
-    k = unitary.num_wires
-    arr = state.amplitudes.reshape((2,) * state.num_wires)
-    arr = np.moveaxis(arr, wires, range(k))
-    block = arr.reshape(2**k, -1)
-    block = unitary.matrix @ block
-    arr = np.moveaxis(block.reshape((2,) * state.num_wires), range(k), wires)
-    return StateVector(state.num_wires, arr.reshape(-1))
+    block, plan = _register_view(state, wires)
+    if block.shape[2] == 1:
+        # a trailing register: one product over all leading wires at once
+        out = block[:, :, 0] @ unitary.matrix.T
+    else:
+        out = np.matmul(unitary.matrix, block)
+    return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
+
+
+def _check_permutation(perm, num_wires: int) -> np.ndarray:
+    """The table as int64, if it is a permutation of 2^num_wires indices."""
+    perm = np.asarray(perm, dtype=np.int64)
+    d = 2**num_wires
+    if perm.shape != (d,):
+        raise ValueError(f"permutation length {perm.shape} does not fit {num_wires} wires")
+    if perm.min() < 0 or perm.max() >= d or np.bincount(perm, minlength=d).max() != 1:
+        raise ValueError("index table is not a permutation")
+    return perm
+
+
+def _permute_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
+    """apply_basis_permutation for a table already checked to be a permutation."""
+    wires = tuple(wires)
+    if perm.shape != (2 ** len(wires),):
+        raise ValueError(f"permutation of length {perm.shape} does not fit {len(wires)} wires")
+    _check_wires(state.num_wires, wires)
+    block, plan = _register_view(state, wires)
+    out = np.empty_like(block)
+    out[:, perm] = block
+    return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
 
 
 def apply_basis_permutation(
@@ -289,20 +368,11 @@ def apply_basis_permutation(
 
     Permutation application costs O(2^n) regardless of the operator's wire
     count, which is what lets encryption oracles act on states too large for
-    dense matrices.
+    dense matrices. Raises ValueError unless the table is a permutation of
+    the register's 2^k basis indices.
     """
     wires = tuple(wires)
-    perm = np.asarray(permutation)
-    k = len(wires)
-    if perm.shape != (2**k,):
-        raise ValueError(f"permutation of length {perm.shape} does not fit {k} wires")
-    _check_wires(state.num_wires, wires)
-    arr = np.moveaxis(state.amplitudes.reshape((2,) * state.num_wires), wires, range(k))
-    block = arr.reshape(2**k, -1)
-    out = np.empty_like(block)
-    out[perm] = block
-    arr = np.moveaxis(out.reshape((2,) * state.num_wires), range(k), wires)
-    return StateVector(state.num_wires, arr.reshape(-1))
+    return _permute_basis(_check_permutation(permutation, len(wires)), state, wires)
 
 
 def embed_unitary(
@@ -339,17 +409,23 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(k, np.einsum("ajbj->ab", t))
 
 
-def _measure_block(
-    state: StateVector, wires: tuple[int, ...], rng: np.random.Generator
-) -> tuple[int, np.ndarray, float]:
-    k = len(wires)
-    arr = np.moveaxis(state.amplitudes.reshape((2,) * state.num_wires), wires, range(k))
-    block = arr.reshape(2**k, -1)
-    probs = np.abs(block) ** 2
-    probs = probs.sum(axis=1)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(2**k, p=probs))
-    return outcome, block, float(probs[outcome])
+def _measure_block(state: StateVector, wires: tuple[int, ...], rng: np.random.Generator):
+    """Draw the outcome of measuring ``wires``.
+
+    Returns the outcome, the register view and plan of ``_register_view``,
+    and the register's outcome probabilities. The draw is the one
+    ``rng.choice(2**k, p=probs)`` makes: one uniform double searched in the
+    normalized cumulative distribution.
+    """
+    block, plan = _register_view(state, wires)
+    weight = np.abs(block)
+    weight *= weight
+    probs = weight.sum(axis=(0, 2))
+    probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    outcome = int(cdf.searchsorted(rng.random(), side="right"))
+    return outcome, block, plan, probs
 
 
 def measure_computational(
@@ -365,12 +441,12 @@ def measure_computational(
     _check_wires(state.num_wires, wires)
     if not wires:
         raise ValueError("must measure at least one wire")
-    k = len(wires)
-    outcome, block, p = _measure_block(state, wires, rng)
+    outcome, block, plan, probs = _measure_block(state, wires, rng)
     post = np.zeros_like(block)
-    post[outcome] = block[outcome] / np.sqrt(p)
-    arr = np.moveaxis(post.reshape((2,) * state.num_wires), range(k), wires)
-    return format(outcome, f"0{k}b"), StateVector(state.num_wires, arr.reshape(-1))
+    post[:, outcome] = block[:, outcome] / math.sqrt(probs[outcome])
+    return format(outcome, f"0{len(wires)}b"), _owned_state(
+        state.num_wires, _flat_amplitudes(post, plan)
+    )
 
 
 def measure_and_remove(
@@ -386,8 +462,9 @@ def measure_and_remove(
     if not 0 < len(wires) < state.num_wires:
         raise ValueError("must remove at least one wire and keep at least one")
     k = len(wires)
-    outcome, block, p = _measure_block(state, wires, rng)
-    return format(outcome, f"0{k}b"), StateVector(state.num_wires - k, block[outcome] / np.sqrt(p))
+    outcome, block, _, probs = _measure_block(state, wires, rng)
+    rest = block[:, outcome] / math.sqrt(probs[outcome])
+    return format(outcome, f"0{k}b"), _owned_state(state.num_wires - k, rest.reshape(-1))
 
 
 def append_wires(state: StateVector, count: int) -> StateVector:
@@ -396,9 +473,10 @@ def append_wires(state: StateVector, count: int) -> StateVector:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return state
+    _check_wire_count(state.num_wires + count)
     amp = np.zeros(2 ** (state.num_wires + count), dtype=np.complex128)
-    amp[np.arange(state.dim) << count] = state.amplitudes
-    return StateVector(state.num_wires + count, amp)
+    amp.reshape(state.dim, 2**count)[:, 0] = state.amplitudes
+    return _owned_state(state.num_wires + count, amp)
 
 
 # -- distances ---------------------------------------------------------------

@@ -231,3 +231,28 @@ def test_description_attacks_score_gqind_as_qind():
                 assert 0.5 * (zero[0] + 1.0 - zero[1]) == pytest.approx(
                     attack.exact_win_probability(scheme, key, r), abs=1e-12
                 )
+
+
+def test_trials_share_one_unchanged_template():
+    seen = []
+
+    def recording(cls):
+        class Recording(cls):
+            def template(self, scheme, game):
+                seen.append(super().template(scheme, game))
+                return seen[-1]
+
+        return Recording
+
+    cases = (
+        (recording(type(bz_adversary())), "fqind", run_fqind_qcpa, prf_scheme(2, 2)),
+        (recording(type(qlp_distinguisher())), "gqind", run_gqind_qcpa, prf_scheme(2, 1)),
+    )
+    for cls, game, runner, scheme in cases:
+        seen.clear()
+        first = cls().template(scheme, game)
+        before = first.state.amplitudes.copy()
+        estimate_advantage(runner, scheme, cls(), 12, seed=8)
+        assert len(seen) == 13
+        assert all(t is first for t in seen)
+        assert np.array_equal(first.state.amplitudes, before)

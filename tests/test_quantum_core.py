@@ -35,6 +35,7 @@ from qindlab.quantum_core import (
     trace_norm,
     zero_state,
 )
+from qindlab.quantum_core import _measure_block, _owned_state
 
 
 def test_wire_zero_is_most_significant():
@@ -213,3 +214,131 @@ def test_density_matrix_has_unit_trace(state):
     rho = state.to_density()
     assert isinstance(rho, DensityMatrix)
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
+
+
+# -- register operations against dense references -----------------------------
+
+
+def _random_state(n: int, rng: np.random.Generator) -> StateVector:
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, vec / np.linalg.norm(vec))
+
+
+def _random_unitary(k: int, rng: np.random.Generator) -> UnitaryOperator:
+    z = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    q, r = np.linalg.qr(z)
+    return UnitaryOperator(k, q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def _reference_marginal(state: StateVector, wires: tuple[int, ...]) -> np.ndarray:
+    """Outcome probabilities of the listed wires by moveaxis, register first."""
+    n, k = state.num_wires, len(wires)
+    t = np.moveaxis(state.amplitudes.reshape((2,) * n), wires, range(k))
+    probs = (np.abs(t.reshape(2**k, -1)) ** 2).sum(axis=1)
+    return probs / probs.sum()
+
+
+@st.composite
+def registers(draw, max_wires=8):
+    """(n, wires, seed): contiguous in order, gapped, or out of order."""
+    n = draw(st.integers(1, max_wires))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - k))
+        wires = tuple(range(start, start + k))
+    else:
+        wires = tuple(draw(st.permutations(range(n)))[:k])
+    return n, wires, draw(st.integers(0, 2**32 - 1))
+
+
+@given(registers())
+@settings(max_examples=120, deadline=None)
+def test_register_operations_match_dense_references(case):
+    n, wires, seed = case
+    k = len(wires)
+    rng = np.random.default_rng(seed)
+    state = _random_state(n, rng)
+
+    u = _random_unitary(k, rng)
+    dense = embed_unitary(u, n, wires).matrix @ state.amplitudes
+    assert np.allclose(apply_unitary(u, state, wires).amplitudes, dense, atol=1e-12)
+
+    perm = rng.permutation(2**k)
+    mat = np.zeros((2**k, 2**k), dtype=np.complex128)
+    mat[perm, np.arange(2**k)] = 1.0
+    dense = embed_unitary(UnitaryOperator(k, mat), n, wires).matrix @ state.amplitudes
+    permuted = apply_basis_permutation(perm, state, wires).amplitudes
+    assert np.array_equal(permuted, dense)
+
+    marginal = _reference_marginal(state, wires)
+    draw_seed = int(rng.integers(2**32))
+    expected = np.random.default_rng(draw_seed)
+    outcome = int(expected.choice(2**k, p=marginal))
+    drawn = np.random.default_rng(draw_seed)
+    _, _, _, probs = _measure_block(state, wires, drawn)
+    assert np.allclose(probs, marginal, rtol=0.0, atol=1e-12)
+    # the same outcome, and the generator left where rng.choice leaves it
+    assert drawn.bit_generator.state == expected.bit_generator.state
+    bits, post = measure_computational(state, wires, np.random.default_rng(draw_seed))
+    assert int(bits, 2) == outcome
+    collapsed = np.moveaxis(state.amplitudes.reshape((2,) * n), wires, range(k)).copy()
+    mask = np.ones(2**k, dtype=bool)
+    mask[outcome] = False
+    collapsed.reshape(2**k, -1)[mask] = 0.0
+    collapsed /= math.sqrt(marginal[outcome])
+    reference = np.moveaxis(collapsed, range(k), wires).reshape(-1)
+    assert np.allclose(post.amplitudes, reference, atol=1e-12)
+    if k < n:
+        bits, rest = measure_and_remove(state, wires, np.random.default_rng(draw_seed))
+        assert int(bits, 2) == outcome
+        kept = np.moveaxis(state.amplitudes.reshape((2,) * n), wires, range(k))
+        kept = kept.reshape(2**k, -1)[outcome] / math.sqrt(marginal[outcome])
+        assert np.allclose(rest.amplitudes, kept, atol=1e-12)
+
+
+def test_basis_permutation_rejects_tables_that_are_not_permutations():
+    state = state_from_bits("00")
+    for table in ([0, 1, 2, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            apply_basis_permutation(np.array(table), state, (0, 1))
+
+
+def test_returned_states_are_frozen():
+    rng = np.random.default_rng(9)
+    s = run_gates(3, (H(0), CNOT(0, 2)))
+    results = [
+        s,
+        state_from_bits("01"),
+        zero_state(2),
+        apply_unitary(hadamard_all(2), s, (2, 0)),
+        apply_unitary(hadamard_all(2), s, (1, 2)),
+        apply_basis_permutation(np.array([1, 0]), s, (1,)),
+        measure_computational(s, (0, 2), rng)[1],
+        measure_and_remove(s, (1,), rng)[1],
+        append_wires(s, 2),
+        sample_description(StateDescription(2, (H(1),)), rng),
+        maximally_entangled(1),
+        random_pure_bipartite(1, 1, rng),
+        StateVector(1, np.array([1.0, 0.0])),
+    ]
+    for state in results:
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.5
+
+
+def test_public_constructor_copies_the_callers_array():
+    arr = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    state = StateVector(2, arr)
+    arr[0], arr[3] = 0.0, 1.0
+    assert arr.flags.writeable
+    assert state.amplitudes[0] == 1.0 and state.amplitudes[3] == 0.0
+
+
+def test_private_constructor_keeps_the_norm_and_wire_checks():
+    # a unitary that fails its own check never gets this far, so feed the
+    # private constructor a bad array directly
+    with pytest.raises(ValueError):
+        _owned_state(1, np.array([1.0, 1.0], dtype=np.complex128))
+    with pytest.raises(ValueError):
+        append_wires(zero_state(WIRE_CAP), 1)

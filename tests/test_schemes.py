@@ -220,3 +220,19 @@ def test_gen_respects_security_parameter():
     keys = {int(scheme.gen(8, np.random.default_rng(i))) for i in range(32)}
     assert all(0 <= k < 2**16 for k in keys)
     assert len(keys) > 1
+
+
+def test_prf_completion_table_matches_its_scalar_form_and_keeps_its_input():
+    m, tau = 3, 4
+    scheme, prf = prf_scheme(m, tau), toy_prf(tau, m)
+    z = np.arange(2 ** (m + tau))
+    before = z.copy()
+    for key in (0, 5):
+        for r in (0, 9):
+            table = scheme.type2_completion(key, r, z)
+            assert np.array_equal(z, before)
+            x, rp = z >> tau, (z & (2**tau - 1)) ^ r
+            assert np.array_equal(table, (rp << m) | (prf(key, rp) ^ x))
+            scalars = [scheme.type2_completion(key, r, int(v)) for v in z]
+            assert all(type(c) is int for c in scalars)
+            assert scalars == table.tolist()

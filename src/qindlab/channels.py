@@ -12,7 +12,8 @@ to (J_F - I_F)/(|F|(|F| - 1)) otherwise, J_F the all-ones block on F; the
 ideal channel keeps the diagonal part only. Both are held as F alone, in
 closed form at any size; a sampled mixture holds a table of injections.
 Bipartite application keeps a reference register untouched and contracts
-the system side through a cached pair-action table.
+the system side in one product against the channel's pair table, built once
+per channel: row s * 2^m + t is the image of |s><t|.
 
 certify_lemma_bound and certify_corollary_bound compare the two over a
 maximally entangled probe plus Haar-random purifications. On a probe the
@@ -24,7 +25,8 @@ when one is used, is reported as the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +50,10 @@ class QuantumChannel:
     inside the channel. free: the sorted int64 free ciphertexts. injections:
     sampled mixtures only, (K, 2^input_wires) int64, row k the ciphertext
     that member k sends each plaintext to, members weighted equally.
+
+    The channel acts through pair_table, built once on first use: row
+    s * in_dim + t is the flattened image of |s><t|, so applying the channel
+    is one product of the input's (s, t) blocks against it.
     """
 
     input_wires: int
@@ -55,7 +61,6 @@ class QuantumChannel:
     kind: str
     free: np.ndarray
     injections: np.ndarray | None = None
-    _pair_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def in_dim(self) -> int:
@@ -72,31 +77,49 @@ class QuantumChannel:
         k = len(self.injections)
         return np.full(k, 1.0 / k)
 
+    @cached_property
+    def _closed_form_images(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact and ideal channels: the images of |s><s| and of |s><t|, s != t."""
+        n, f = self.out_dim, len(self.free)
+        diagonal = np.zeros((n, n), dtype=np.complex128)
+        diagonal[self.free, self.free] = 1.0 / f
+        off = np.zeros((n, n), dtype=np.complex128)
+        if self.kind != "constant":
+            off[np.ix_(self.free, self.free)] = 1.0 / (f * (f - 1))
+            off[self.free, self.free] = 0.0
+        diagonal.flags.writeable = off.flags.writeable = False
+        return diagonal, off
+
+    @cached_property
+    def pair_table(self) -> np.ndarray:
+        """(in_dim^2, out_dim^2) complex: row s * in_dim + t is the image of |s><t|."""
+        d, n = self.in_dim, self.out_dim
+        if self.injections is not None:
+            # one count over every (member, s, t): member k sends |s><t| to
+            # |inj[k, s]><inj[k, t]|
+            inj = self.injections
+            cells = inj[:, :, None] * n + inj[:, None, :]
+            rows = np.arange(d * d).reshape(d, d) * (n * n)
+            counts = np.bincount((rows + cells).ravel(), minlength=d * d * n * n)
+            table = (counts / len(inj)).astype(np.complex128).reshape(d * d, n * n)
+        else:
+            diagonal, off = self._closed_form_images
+            table = np.empty((d * d, n * n), dtype=np.complex128)
+            table[:] = off.ravel()
+            table[:: d + 1] = diagonal.ravel()
+        # every application and pair_action shares it
+        table.flags.writeable = False
+        return table
+
     def pair_action(self, s: int, t: int) -> np.ndarray:
-        """The (out_dim, out_dim) image of the input-basis pair |s><t|."""
+        """The (out_dim, out_dim) image of the input-basis pair |s><t|: a row of
+        pair_table, read from the two closed-form images where the channel has
+        them, so one lookup never builds the whole table."""
         if not (0 <= s < self.in_dim and 0 <= t < self.in_dim):
             raise ValueError("pair indices out of the input basis")
-        key = (s, t)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.out_dim
-        if self.injections is not None:
-            inj = self.injections
-            counts = np.bincount(inj[:, s] * n + inj[:, t], minlength=n * n)
-            out = (counts / len(inj)).reshape(n, n).astype(np.complex128)
-        else:
-            f = len(self.free)
-            block = np.zeros((f, f))
-            if s == t:
-                np.fill_diagonal(block, 1.0 / f)
-            elif self.kind != "constant":
-                block[:] = 1.0 / (f * (f - 1))
-                np.fill_diagonal(block, 0.0)
-            out = np.zeros((n, n), dtype=np.complex128)
-            out[np.ix_(self.free, self.free)] = block
-        self._pair_cache[key] = out
-        return out
+        if self.injections is None:
+            return self._closed_form_images[0 if s == t else 1]
+        return self.pair_table[s * self.in_dim + t].reshape(self.out_dim, self.out_dim)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return apply_channel_bipartite(self, rho, ref_wires=0)
@@ -106,22 +129,21 @@ def apply_channel_bipartite(
     channel: QuantumChannel, rho: DensityMatrix, ref_wires: int
 ) -> DensityMatrix:
     """Apply (identity on the leading ref wires) tensor (channel on the rest)."""
+    if ref_wires < 0:
+        raise ValueError(f"ref_wires must be >= 0, got {ref_wires}")
     if rho.num_wires != ref_wires + channel.input_wires:
         raise ValueError(
             f"state has {rho.num_wires} wires, expected "
             f"{ref_wires} + {channel.input_wires}"
         )
     r = 2**ref_wires
-    n_in = channel.in_dim
-    n_out = channel.out_dim
-    rho4 = rho.matrix.reshape(r, n_in, r, n_in)
-    out = np.zeros((r, n_out, r, n_out), dtype=np.complex128)
-    support = np.abs(rho4).sum(axis=(0, 2))
-    for s, t in zip(*np.nonzero(support)):
-        block = rho4[:, s, :, t]
-        out += np.einsum("ab,uv->aubv", block, channel.pair_action(int(s), int(t)))
+    d, n = channel.in_dim, channel.out_dim
+    # row (a, b) holds the reference block's entries rho[a s, b t] by pair (s, t)
+    pairs = rho.matrix.reshape(r, d, r, d).transpose(0, 2, 1, 3).reshape(r * r, d * d)
+    images = (pairs @ channel.pair_table).reshape(r, r, n, n)
     return DensityMatrix(
-        ref_wires + channel.output_wires, out.reshape(r * n_out, r * n_out)
+        ref_wires + channel.output_wires,
+        images.transpose(0, 2, 1, 3).reshape(r * n, r * n),
     )
 
 
@@ -161,7 +183,8 @@ def avg_permutation_channel(
             raise ValueError("n_perm must be >= 1")
         if rng is None:
             raise ValueError("sampling needs an explicit rng")
-        table = np.stack([rng.permutation(free)[:d] for _ in range(n_perm)])
+        # one call, the same draws as rng.permutation(free)[:d] row by row
+        table = rng.permuted(np.tile(free, (n_perm, 1)), axis=1)[:, :d]
     return QuantumChannel(
         input_wires=message_bits,
         output_wires=message_bits + tau,

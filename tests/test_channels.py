@@ -245,6 +245,7 @@ def test_channel_weights_sum_to_one():
         (1, 3, (3, 6, 9, 12), None),
         (2, 1, (3,), None),
         (2, 2, (0, 1, 6, 11, 12, 13, 14, 15), None),
+        (2, 3, (3, 17, 22, 30), 500),
     ],
 )
 def test_channel_application_matches_the_dense_isometries(m, tau, taken, n_perm):
@@ -257,16 +258,58 @@ def test_channel_application_matches_the_dense_isometries(m, tau, taken, n_perm)
     else:
         inj = ch.injections
         assert inj.shape == (n_perm, 2**m)
-    rho = random_pure_bipartite(m, m, np.random.default_rng(17)).to_density().matrix
+    rho = random_pure_bipartite(m, m, np.random.default_rng(17)).to_density()
+    sigma = partial_trace(rho, keep=tuple(range(m, 2 * m)))
     want = np.zeros((2 ** (2 * m + tau),) * 2, dtype=np.complex128)
+    want_alone = np.zeros((2 ** (m + tau),) * 2, dtype=np.complex128)
     for row in inj:
         v = np.zeros((2 ** (m + tau), 2**m))
         v[row, np.arange(2**m)] = 1.0
         big = np.kron(np.eye(2**m), v)
-        want += big @ rho @ big.conj().T
+        want += big @ rho.matrix @ big.conj().T
+        want_alone += v @ sigma.matrix @ v.T
     want /= len(inj)
-    got = apply_channel_bipartite(ch, DensityMatrix(2 * m, rho), m).matrix
+    want_alone /= len(inj)
+    got = apply_channel_bipartite(ch, rho, m).matrix
     assert np.max(np.abs(got - want)) <= 1e-12
+    # without a reference register (ref_wires=0)
+    assert np.max(np.abs(ch.apply(sigma).matrix - want_alone)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "m, tau, taken, n_perm",
+    [(1, 1, (), 1), (1, 3, (2, 9), 40), (2, 3, (3, 17, 22, 30), 500), (3, 2, (0,), 25)],
+)
+def test_sampled_injections_keep_the_per_row_draws(m, tau, taken, n_perm):
+    """One shuffle call draws the table that rng.permutation(free)[:2^m] drew row by
+    row, and leaves the generator where the loop left it."""
+    rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+    ch = avg_permutation_channel(m, tau, taken, n_perm=n_perm, rng=rng)
+    free = np.array(sorted(set(range(2 ** (m + tau))) - set(taken)), dtype=np.int64)
+    want = np.stack([ref.permutation(free)[: 2**m] for _ in range(n_perm)])
+    assert np.array_equal(ch.injections, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_pair_action_is_a_row_of_the_pair_table():
+    taken = (3, 17, 22, 30)
+    for ch in (
+        avg_permutation_channel(2, 3, taken),
+        constant_mixed_channel(2, 3, taken),
+        avg_permutation_channel(2, 3, taken, n_perm=500, rng=np.random.default_rng(6)),
+    ):
+        d, n = ch.in_dim, ch.out_dim
+        assert ch.pair_table.shape == (d * d, n * n)
+        assert not ch.pair_table.flags.writeable
+        for s, t in itertools.product(range(d), repeat=2):
+            assert np.array_equal(ch.pair_action(s, t).ravel(), ch.pair_table[s * d + t])
+
+
+def test_bipartite_application_rejects_negative_reference_wires():
+    # one wire fewer than the channel's input would pass the wire count
+    ch = avg_permutation_channel(2, 1)
+    with pytest.raises(ValueError, match="ref_wires"):
+        apply_channel_bipartite(ch, state_from_bits("0").to_density(), -1)
 
 
 def test_exact_distance_equals_the_witness_on_exact_runs():

@@ -9,7 +9,6 @@ randomness always flows through explicit numpy Generators.
 
 from .attacks import (
     ATTACKS,
-    AttackSpec,
     CoreInterferenceAttack,
     EntangledBlockProbe,
     HadamardBitProbe,

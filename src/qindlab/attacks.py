@@ -43,9 +43,7 @@ Four attacks, each with a closed-form expected win rate where one is known:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -158,6 +156,11 @@ class HadamardTest(AdversaryStrategy):
         """The pure qind challenge pair on ``m`` message wires."""
         raise NotImplementedError
 
+    @staticmethod
+    def expected_win_rate(scheme: ClassicalScheme) -> Fraction | None:
+        """The closed-form win rate against ``scheme``; None where none is known."""
+        return None
+
     def template(self, scheme: ClassicalScheme, game: str):
         """The challenge template this attack sends in ``game``."""
         pair = self.descriptions(scheme.message_bits)
@@ -206,6 +209,10 @@ class SuperpositionMaskAttack(HadamardTest):
 
     def template(self, scheme, game):
         return _mask_template(scheme.message_bits, scheme.ciphertext_bits)
+
+    @staticmethod
+    def expected_win_rate(scheme: ClassicalScheme) -> Fraction:
+        return bz_expected_win_rate(scheme.message_bits)
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,6 +264,10 @@ class CoreInterferenceAttack(HadamardTest):
         ell = scheme.ciphertext_bits
         return tuple(range(ell - scheme.message_bits, ell))
 
+    @staticmethod
+    def expected_win_rate(scheme: ClassicalScheme) -> Fraction | None:
+        return Fraction(1) if is_quasi_length_preserving(scheme) else None
+
     def descriptions(self, m):
         hs = tuple(H(w) for w in range(m))
         return StateDescription(m, hs), StateDescription(m, tuple(X(w) for w in range(m)) + hs)
@@ -287,6 +298,12 @@ class HadamardBitProbe(HadamardTest):
         if self.probe_wire >= m:
             raise GameSetupError(f"probe wire {self.probe_wire} outside {m} message wires")
         return (ell - m + self.probe_wire,)
+
+    @staticmethod
+    def expected_win_rate(scheme: ClassicalScheme) -> Fraction | None:
+        if is_quasi_length_preserving(scheme) and scheme.message_bits == 1:
+            return Fraction(1)
+        return None
 
     def descriptions(self, m):
         w = self.probe_wire
@@ -333,34 +350,6 @@ class EntangledBlockProbe(HadamardTest):
 # -- registry --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttackSpec:
-    """Catalog entry: how to build the strategy and what rate theory pins."""
-
-    name: str
-    games: tuple[str, ...]
-    build: Callable[..., AdversaryStrategy]
-    expected_win_rate: Callable[[ClassicalScheme], Fraction | None]
-
-
-def _bz_rate(scheme: ClassicalScheme) -> Fraction:
-    return bz_expected_win_rate(scheme.message_bits)
-
-
-def _qlp_rate(scheme: ClassicalScheme) -> Fraction | None:
-    return Fraction(1) if is_quasi_length_preserving(scheme) else None
-
-
-def _hadamard_rate(scheme: ClassicalScheme) -> Fraction | None:
-    if is_quasi_length_preserving(scheme) and scheme.message_bits == 1:
-        return Fraction(1)
-    return None
-
-
-ATTACKS: dict[str, AttackSpec] = {
-    "bz": AttackSpec("bz", ("fqind",), bz_adversary, _bz_rate),
-    "qlp": AttackSpec("qlp", ("qind", "gqind"), qlp_distinguisher, _qlp_rate),
-    "hadamard-bit": AttackSpec(
-        "hadamard-bit", ("qind", "gqind"), hadamard_bit_distinguisher, _hadamard_rate
-    ),
+ATTACKS: dict[str, type[HadamardTest]] = {
+    cls.name: cls for cls in (SuperpositionMaskAttack, CoreInterferenceAttack, HadamardBitProbe)
 }

@@ -10,8 +10,9 @@ is a pure function of the echoed config; wall-clock lives in a separate
 "timing" key that --no-timing omits, so reruns are byte-comparable.
 Exit codes: 0 pass, 1 bound or acceptance violation, 2 usage error.
 
-Flag values beat --config file entries, which beat built-in defaults; the
-effective values are echoed under "config". QINDLAB_SEED serves as a
+Flag values beat --config file entries, which are read as the flags of the
+same name and beat the flags' defaults; the effective values are echoed
+under "config". QINDLAB_SEED serves as a
 fallback seed; sampled runs refuse to start without one.
 """
 
@@ -45,6 +46,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -60,8 +68,7 @@ _FAMILIES: dict[str, Callable[[int, int], schemes.PermutationFamily]] = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and each subcommand's parser by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qindlab",
         description="Exact desk-scale experiments on quantum encryption oracles.",
@@ -75,149 +82,96 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument(
             "--no-timing",
             action="store_true",
-            default=None,
             help="omit the timing field for byte-identical reruns",
         )
         p.add_argument("--config", default=None, help="JSON file with default flag values")
 
-    def scheme_flags(p: argparse.ArgumentParser, kinds: tuple[str, ...]) -> None:
-        p.add_argument("--scheme", choices=kinds, default=None)
-        p.add_argument("--m", type=_positive_int, default=None, help="message bits")
-        p.add_argument("--tau", type=int, default=None, help="randomness bits")
-        p.add_argument("--mu", type=_positive_int, default=None, help="block count")
-        p.add_argument("--family", choices=tuple(_FAMILIES), default=None)
-        p.add_argument("--rounds", type=_positive_int, default=None, help="feistel rounds")
+    def scheme_flags(p: argparse.ArgumentParser, kinds: tuple[str, ...], tau: int) -> None:
+        p.add_argument("--scheme", choices=kinds, default=kinds[0])
+        p.add_argument("--m", type=_positive_int, default=2, help="message bits")
+        p.add_argument("--tau", type=_nonnegative_int, default=tau, help="randomness bits")
+        p.add_argument("--mu", type=_positive_int, default=1, help="block count")
+        p.add_argument("--family", choices=tuple(_FAMILIES), default="ideal")
+        p.add_argument("--rounds", type=_positive_int, default=4, help="feistel rounds")
 
     p_attack = sub.add_parser("attack", help="run a named adversary in a game")
     p_attack.add_argument("--name", choices=tuple(attacks.ATTACKS), required=True)
     p_attack.add_argument("--game", choices=games.GAME_NAMES, required=True)
-    p_attack.add_argument("--mode", choices=("sampled", "exact"), default=None)
-    p_attack.add_argument("--trials", type=_positive_int, default=None)
-    p_attack.add_argument("--keys", type=_positive_int, default=None, help="keys for exact mode")
-    p_attack.add_argument("--q", type=int, default=None, help="learning queries to pad in")
-    p_attack.add_argument("--force", action="store_true", default=None)
-    scheme_flags(p_attack, ("prf", "prp", "block"))
+    p_attack.add_argument("--mode", choices=("sampled", "exact"), default="sampled")
+    p_attack.add_argument("--trials", type=_positive_int, default=1000)
+    p_attack.add_argument("--keys", type=_positive_int, default=4, help="keys for exact mode")
+    p_attack.add_argument(
+        "--q", type=_nonnegative_int, default=0, help="learning queries to pad in"
+    )
+    p_attack.add_argument("--force", action="store_true")
+    scheme_flags(p_attack, ("prf", "prp", "block"), tau=2)
     common(p_attack)
 
     p_secure = sub.add_parser("secure", help="probe a construction against its bound")
-    p_secure.add_argument("--game", choices=("qind", "gqind"), default=None)
-    p_secure.add_argument("--adversary", choices=tuple(_SECURE_ADVERSARIES), default=None)
-    p_secure.add_argument("--trials", type=_positive_int, default=None)
-    p_secure.add_argument("--q", type=int, default=None, help="learning queries")
-    scheme_flags(p_secure, ("prp", "block"))
+    p_secure.add_argument("--game", choices=("qind", "gqind"), default="qind")
+    p_secure.add_argument("--adversary", choices=tuple(_SECURE_ADVERSARIES), default="qlp")
+    p_secure.add_argument("--trials", type=_positive_int, default=5000)
+    p_secure.add_argument("--q", type=_nonnegative_int, default=0, help="learning queries")
+    scheme_flags(p_secure, ("prp", "block"), tau=4)
     common(p_secure)
 
     p_lemma = sub.add_parser("lemma", help="certify the channel-distance bound")
-    p_lemma.add_argument("--m", type=_positive_int, default=None)
-    p_lemma.add_argument("--tau", type=int, default=None)
-    p_lemma.add_argument("--mode", choices=("sampled", "exact"), default=None)
+    p_lemma.add_argument("--m", type=_positive_int, default=1)
+    p_lemma.add_argument("--tau", type=int, default=1)
+    p_lemma.add_argument("--mode", choices=("sampled", "exact"), default="sampled")
     p_lemma.add_argument("--samples", type=_positive_int, default=None)
-    p_lemma.add_argument("--n-perm", type=_positive_int, default=None, dest="n_perm")
+    p_lemma.add_argument("--n-perm", type=_positive_int, default=5000, dest="n_perm")
     p_lemma.add_argument(
-        "--taken", type=_int_list, default=None, help="comma-separated taken outputs"
+        "--taken", type=_int_list, default=(), help="comma-separated taken outputs"
     )
     common(p_lemma)
 
     p_equiv = sub.add_parser("equiv", help="compare interconversion circuits")
-    p_equiv.add_argument("--scheme", choices=("prf", "prp"), default=None)
-    p_equiv.add_argument("--m", type=_positive_int, default=None)
-    p_equiv.add_argument("--tau", type=int, default=None)
-    p_equiv.add_argument("--keys", type=_positive_int, default=None)
-    p_equiv.add_argument("--family", choices=tuple(_FAMILIES), default=None)
-    p_equiv.add_argument("--rounds", type=_positive_int, default=None)
+    p_equiv.add_argument("--scheme", choices=("prf", "prp"), default="prf")
+    p_equiv.add_argument("--m", type=_positive_int, default=1)
+    p_equiv.add_argument("--tau", type=_nonnegative_int, default=1)
+    p_equiv.add_argument("--keys", type=_positive_int, default=8)
+    p_equiv.add_argument("--family", choices=tuple(_FAMILIES), default="ideal")
+    p_equiv.add_argument("--rounds", type=_positive_int, default=4)
     common(p_equiv)
 
     p_suite = sub.add_parser("suite", help="run the full acceptance battery")
     common(p_suite)
 
-    return parser, sub.choices
+    return parser
 
 
-_DEFAULTS: dict[str, dict] = {
-    "attack": {
-        "mode": "sampled",
-        "trials": 1000,
-        "keys": 4,
-        "q": 0,
-        "force": False,
-        "scheme": "prf",
-        "m": 2,
-        "tau": 2,
-        "mu": 1,
-        "family": "ideal",
-        "rounds": 4,
-        "no_timing": False,
-    },
-    "secure": {
-        "game": "qind",
-        "adversary": "qlp",
-        "trials": 5000,
-        "q": 0,
-        "scheme": "prp",
-        "m": 2,
-        "tau": 4,
-        "mu": 1,
-        "family": "ideal",
-        "rounds": 4,
-        "no_timing": False,
-    },
-    "lemma": {
-        "m": 1,
-        "tau": 1,
-        "mode": "sampled",
-        "n_perm": 5000,
-        "taken": (),
-        "no_timing": False,
-    },
-    "equiv": {
-        "scheme": "prf",
-        "m": 1,
-        "tau": 1,
-        "keys": 8,
-        "family": "ideal",
-        "rounds": 4,
-        "no_timing": False,
-    },
-    "suite": {"no_timing": False},
-}
-
-
-def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+def _resolve_config(parser: argparse.ArgumentParser, argv: list[str]) -> dict:
     """flags > config file > defaults, echoed in full.
 
-    Every value must pass the choices of the subcommand's parser, so config
-    file entries are held to the same rule as flags.
+    Each config file entry is read as the flag of the same name, placed
+    before the command line's own flags so those still win. The parser's
+    types, choices and defaults then hold for both sources alike.
     """
-    defaults = _DEFAULTS[args.command]
-    from_file: dict = {}
-    if getattr(args, "config", None):
+    args = parser.parse_args(argv)
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        from_file = loaded
-    cfg: dict = {"command": args.command}
-    names = set(defaults) | {
-        k for k in vars(args) if k not in ("command", "config")
-    }
-    unknown = sorted(set(from_file) - names)
-    if unknown:
-        raise UsageError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
-    for name in sorted(names):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            cfg[name] = flag
-        elif name in from_file:
-            cfg[name] = from_file[name]
-        else:
-            cfg[name] = defaults.get(name)
-    for action in parser._actions:
-        if action.choices is not None and cfg[action.dest] not in action.choices:
-            allowed = ", ".join(action.choices)
-            raise UsageError(f"unknown {action.dest} {cfg[action.dest]!r}; choose from {allowed}")
-    if isinstance(cfg.get("taken"), list):
-        cfg["taken"] = tuple(int(t) for t in cfg["taken"])
-    return cfg
+        unknown = sorted(set(loaded) - (set(vars(args)) - {"command", "config"}))
+        if unknown:
+            raise UsageError(f"unknown config keys for {args.command}: {', '.join(unknown)}")
+        tokens = []
+        for key, value in loaded.items():
+            flag = "--" + key.replace("_", "-")
+            if value is None:
+                raise UsageError(f"config key {key} is null")
+            if isinstance(getattr(args, key), bool):  # a store_true switch
+                if not isinstance(value, bool):
+                    raise UsageError(f"config key {key} takes true or false, not {value!r}")
+                tokens += [flag] if value else []
+            elif isinstance(value, list):
+                tokens.append(f"{flag}={','.join(map(str, value))}")
+            else:
+                tokens.append(f"{flag}={value}")
+        args = parser.parse_args([args.command] + tokens + argv[1:])
+    return {k: v for k, v in vars(args).items() if k != "config"}
 
 
 def _resolve_seed(cfg: dict, required: bool) -> int | None:
@@ -238,8 +192,6 @@ def _resolve_seed(cfg: dict, required: bool) -> int | None:
 def _build_scheme(cfg: dict) -> schemes.ClassicalScheme:
     kind = cfg["scheme"]
     m, tau, mu = cfg["m"], cfg["tau"], cfg["mu"]
-    if tau < 0:
-        raise UsageError("tau must be >= 0")
     if kind != "block" and mu != 1:
         raise UsageError("mu applies to the block scheme only")
     if kind == "prf":
@@ -266,23 +218,16 @@ def _check_wire_budget(game: str, scheme: schemes.ClassicalScheme) -> None:
         raise UsageError(f"game {game} needs {need} wires; the simulator cap is {WIRE_CAP}")
 
 
-def _strategy_for_attack(cfg: dict) -> games.AdversaryStrategy:
-    build = attacks.ATTACKS[cfg["name"]].build
-    strategy = build(force=bool(cfg["force"])) if cfg["name"] == "qlp" else build()
-    if cfg["q"] < 0:
-        raise UsageError("q must be >= 0")
-    return games.with_learning_queries(strategy, cfg["q"])
-
-
 def cmd_attack(cfg: dict) -> tuple[dict, int]:
-    spec = attacks.ATTACKS[cfg["name"]]
-    game = cfg["game"]
-    if game not in spec.games:
-        raise UsageError(f"{spec.name} requires {'/'.join(spec.games)}")
+    name, game = cfg["name"], cfg["game"]
+    attack = attacks.ATTACKS[name]
+    if game not in attack.games:
+        raise UsageError(f"{name} requires {'/'.join(attack.games)}")
     scheme = _build_scheme(cfg)
     _check_wire_budget(game, scheme)
-    strategy = _strategy_for_attack(cfg)
-    expected = spec.expected_win_rate(scheme)
+    strategy = attack(force=cfg["force"]) if name == "qlp" else attack()
+    strategy = games.with_learning_queries(strategy, cfg["q"])
+    expected = attack.expected_win_rate(scheme)
     if cfg["mode"] == "exact":
         if cfg["q"]:
             raise UsageError("learning-query padding is sampled-mode only")
@@ -295,7 +240,7 @@ def cmd_attack(cfg: dict) -> tuple[dict, int]:
         runner = games.GAME_RUNNERS[game]
         estimate = games.estimate_advantage(runner, scheme, strategy, cfg["trials"], seed)
     results = {
-        "attack": spec.name,
+        "attack": name,
         "game": game,
         "scheme": scheme.name,
         "estimate": asdict(estimate),
@@ -322,8 +267,6 @@ def cmd_secure(cfg: dict) -> tuple[dict, int]:
     strategy = _SECURE_ADVERSARIES[name](cfg)
     if game not in strategy.games:
         raise UsageError(f"{name} requires {'/'.join(strategy.games)}")
-    if cfg["q"] < 0:
-        raise UsageError("q must be >= 0")
     strategy = games.with_learning_queries(strategy, cfg["q"])
     seed = _resolve_seed(cfg, required=True)
     runner = games.GAME_RUNNERS[game]
@@ -351,7 +294,7 @@ def cmd_secure(cfg: dict) -> tuple[dict, int]:
 
 def cmd_lemma(cfg: dict) -> tuple[dict, int]:
     m, tau = cfg["m"], cfg["tau"]
-    taken = tuple(cfg["taken"])
+    taken = cfg["taken"]
     exact = cfg["mode"] == "exact"
     samples = cfg["samples"] if cfg.get("samples") is not None else (1 if exact else 500)
     cfg["samples"] = samples
@@ -374,8 +317,6 @@ def cmd_equiv(cfg: dict) -> tuple[dict, int]:
     from . import oracles
 
     m, tau = cfg["m"], cfg["tau"]
-    if tau < 0:
-        raise UsageError("tau must be >= 0")
     if m > 3 or tau > 3:
         raise UsageError("equiv runs at m, tau <= 3")
     cfg["mu"] = 1
@@ -478,35 +419,32 @@ def _emit(doc: dict, cfg: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:  # the top-level parser takes nothing but a command
         parser.print_usage(sys.stderr)
         return 2
     try:
-        cfg = _resolve_config(args, commands[args.command])
+        cfg = _resolve_config(parser, argv)
         start = time.perf_counter()
-        results, code, *suite_timing = _COMMANDS[args.command](cfg)
+        results, code, *suite_timing = _COMMANDS[cfg["command"]](cfg)
         elapsed = time.perf_counter() - start
-    except (UsageError, GameSetupError, ValueError) as exc:
+        echo = {k: v for k, v in cfg.items() if k not in ("out", "csv", "no_timing")}
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "version": __version__,
+            "command": cfg["command"],
+            "config": echo,
+            "results": results,
+        }
+        if not cfg["no_timing"]:
+            doc["timing"] = {"wall_seconds": round(elapsed, 6)}
+            for extra in suite_timing:
+                doc["timing"].update(extra)
+        _emit(doc, cfg)
+    except (UsageError, GameSetupError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    echo = {k: v for k, v in cfg.items() if k not in ("out", "csv", "no_timing")}
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "version": __version__,
-        "command": cfg["command"],
-        "config": echo,
-        "results": results,
-    }
-    if not cfg.get("no_timing"):
-        doc["timing"] = {"wall_seconds": round(elapsed, 6)}
-        for extra in suite_timing:
-            doc["timing"].update(extra)
-    _emit(doc, cfg)
     return code
 
 

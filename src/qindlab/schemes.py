@@ -145,22 +145,17 @@ def _ideal_table(seed: int, block_bits: int) -> tuple[np.ndarray, np.ndarray]:
     return fwd, bwd
 
 
-def ideal_prp_family(block_bits: int, rng: np.random.Generator | None = None) -> PermutationFamily:
+def ideal_prp_family(block_bits: int) -> PermutationFamily:
     """Uniformly random permutation per key (key = 32-bit seed).
 
     Each key's permutation is an explicit table drawn from that key alone,
-    for every width up to the simulator's WIRE_CAP. The optional ``rng``
-    only serves as the default source when ``init`` is called without one.
+    for every width up to the simulator's WIRE_CAP.
     """
     if not 1 <= block_bits <= WIRE_CAP:
         raise ValueError(f"block_bits must be in 1..{WIRE_CAP}")
-    default_rng = rng
 
-    def init(security: int, rng: np.random.Generator | None = None):
-        src = rng if rng is not None else default_rng
-        if src is None:
-            raise ValueError("ideal_prp_family.init needs a Generator")
-        return int(src.integers(2**32))
+    def init(security: int, rng: np.random.Generator):
+        return int(rng.integers(2**32))
 
     def forward(key, x):
         return _like(x, _ideal_table(key, block_bits)[0][x])
@@ -182,17 +177,11 @@ def _feistel_round_table(key: int, rnd: int, half_bits: int) -> np.ndarray:
     return _prf_table((int(key) << 8) | rnd, half_bits, half_bits)
 
 
-def feistel_prp_family(
-    block_bits: int,
-    rounds: int = 4,
-    round_function: Callable[[Any, int, Any], Any] | None = None,
-) -> PermutationFamily:
+def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
     """Balanced Feistel network over half-blocks.
 
-    Round i maps (L, R) -> (R, L ^ F(key, i, R)). The default round function
-    is an independent random table per (key, round). Passing the zero round
-    function makes every round a swap, so any even round count composes to
-    the identity; that degenerate vector is used as a test oracle.
+    Round i maps (L, R) -> (R, L ^ F(key, i, R)), where F is an independent
+    random table per (key, round).
     """
     if block_bits < 2 or block_bits % 2:
         raise ValueError("block_bits must be even and >= 2")
@@ -201,11 +190,9 @@ def feistel_prp_family(
     half = block_bits // 2
     mask = (1 << half) - 1
 
-    if round_function is None:
-
-        def round_function(key, rnd, r):
-            table = _feistel_round_table(key, rnd, half)
-            return _like(r, table[np.asarray(r)] if not _is_scalar(r) else table[int(r)])
+    def round_function(key, rnd, r):
+        table = _feistel_round_table(key, rnd, half)
+        return _like(r, table[np.asarray(r)] if not _is_scalar(r) else table[int(r)])
 
     def init(security: int, rng: np.random.Generator):
         return int(rng.integers(2**16))

@@ -170,7 +170,7 @@ def test_registry_expected_rates():
 
 def test_registry_builders_produce_strategies():
     for name, spec in ATTACKS.items():
-        strategy = spec.build()
+        strategy = spec()
         assert strategy.name in (name, f"{name}-forced")
         assert strategy.games == spec.games
 

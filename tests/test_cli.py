@@ -291,11 +291,14 @@ def test_config_file_rejects_unknown_keys_and_adversaries(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "jobs, trails" in err
-    # config values skip argparse's choices
+    # config values pass argparse's choices
     cfg.write_text(json.dumps({"adversary": "bz"}))
-    code, out, err = run_cli(capsys, ["secure", "--seed", "1", "--config", str(cfg)])
-    assert code == 2
-    assert "unknown adversary 'bz'" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["secure", "--seed", "1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --adversary: invalid choice: 'bz'" in err
 
 
 def test_config_file_values_pass_the_flag_choices(capsys, tmp_path):
@@ -308,11 +311,46 @@ def test_config_file_values_pass_the_flag_choices(capsys, tmp_path):
         (["lemma", "--seed", "1"], {"mode": "nope"}),
     ):
         cfg.write_text(json.dumps(values))
-        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
-        assert code == 2, values
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2, values
+        out, err = capsys.readouterr()
         assert out == ""
         (key, value), = values.items()
-        assert f"unknown {key} {value!r}; choose from" in err
+        assert f"argument --{key}: invalid choice: {value!r}" in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"m": "x"}, {"trials": 2.5}, {"seed": "abc"}, {"force": "yes"}, {"seed": None}],
+)
+def test_config_values_of_the_wrong_type_exit_2(capsys, tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    argv = ["attack", "--name", "qlp", "--game", "qind", "--mode", "exact", "--no-timing",
+            "--config", str(cfg)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2, values
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_failed_output_writes_exit_2(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "report"
+    code, _, err = run_cli(
+        capsys,
+        ["attack", "--name", "bz", "--game", "fqind", "--mode", "exact", "--m", "1",
+         "--no-timing", flag, str(target)],
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert str(target) in err
 
 
 def test_too_few_keys_for_distinct_keys_is_a_usage_error(capsys):

@@ -8,6 +8,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from qindlab import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -87,3 +89,30 @@ def test_cli_documents_match_the_golden_files(capsys):
         want = json.loads((GOLDEN / f"{name}.json").read_text())
         problems += [f"{name} {m}" for m in mismatches(got, want)]
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "attack_qlp_qind_prf_m2",
+        "secure_entangled_blocks_mu2",
+        "lemma_taken_sampled_m2_tau3",
+        "equiv_prf_m2_tau2",
+    ],
+)
+def test_config_file_entries_reproduce_the_flag_documents(capsys, tmp_path, name):
+    argv = COMMANDS[name]
+    kept, entries = argv[:1], {"no_timing": True}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag in ("--name", "--game"):
+            kept += [flag, value]
+        elif flag == "--taken":
+            entries["taken"] = [int(t) for t in value.split(",")]
+        else:
+            entries[flag[2:].replace("-", "_")] = int(value) if value.isdigit() else value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    assert cli.main(argv + ["--no-timing"]) == 0
+    from_flags = capsys.readouterr().out
+    assert cli.main(kept + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == from_flags

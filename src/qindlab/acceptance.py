@@ -356,7 +356,7 @@ def _check_scheme_roundtrips() -> bool:
     ]
     rng = np.random.default_rng(11)
     for scheme in shipped:
-        for key in {scheme.gen(16, rng) for _ in range(3)}:
+        for key in {scheme.gen(rng) for _ in range(3)}:
             for r in range(2**scheme.randomness_bits):
                 for x in range(2**scheme.message_bits):
                     if int(scheme.dec(key, int(scheme.enc(key, r, x)))) != x:
@@ -367,7 +367,7 @@ def _check_scheme_roundtrips() -> bool:
 def _check_prf_prefix() -> bool:
     scheme = schemes.prf_scheme(2, 2)
     rng = np.random.default_rng(12)
-    key = scheme.gen(16, rng)
+    key = scheme.gen(rng)
     return all(
         int(scheme.enc(key, r, x)) >> 2 == r for r in range(4) for x in range(4)
     )
@@ -377,7 +377,7 @@ def _check_block_independence() -> bool:
     base = schemes.prf_scheme(1, 1)
     scheme = schemes.block_scheme(base, 2)
     rng = np.random.default_rng(13)
-    key = scheme.gen(16, rng)
+    key = scheme.gen(rng)
     for r in range(4):
         for x in range(4):
             cipher = int(scheme.enc(key, r, x))

@@ -62,21 +62,13 @@ from .quantum_core import (
     StateVector,
     X,
     _measure_block,
+    _outcome_weights,
     apply_unitary,
     hadamard_all,
     run_gates,
     zero_state,
 )
 from .schemes import ClassicalScheme, is_quasi_length_preserving
-
-
-def _prob_zero(state: StateVector, wires: tuple[int, ...]) -> float:
-    """Probability that a computational measurement of ``wires`` is all zero."""
-    tensor = state.amplitudes.reshape((2,) * state.num_wires)
-    index: list = [slice(None)] * state.num_wires
-    for w in wires:
-        index[w] = 0
-    return float(np.sum(np.abs(tensor[tuple(index)]) ** 2))
 
 
 def _hadamard_test(response, tested: tuple[int, ...]) -> tuple[StateVector, tuple[int, ...]]:
@@ -180,7 +172,8 @@ class HadamardTest(AdversaryStrategy):
         p: list[float] = []
 
         def score(response) -> None:
-            p.append(_prob_zero(*_hadamard_test(response, tested)))
+            _, _, weights = _outcome_weights(*_hadamard_test(response, tested))
+            p.append(float(weights[0]))  # all tested wires measure zero
 
         for b in (0, 1):
             challenge(scheme, key, template, b, r, None, score)

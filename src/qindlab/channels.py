@@ -262,7 +262,6 @@ def _certify(
     taken: tuple,
     samples: int,
     n_perm: int | None,
-    rng: np.random.Generator | None,
     seed: int | None,
 ) -> BoundReport:
     if samples < 1:
@@ -276,11 +275,10 @@ def _certify(
     taken_count = 2 ** (message_bits + tau) - len(free)
     # with no taken outputs this is lemma_bound(tau) exactly
     bound = corollary_bound(message_bits, tau, taken_count)
-    if rng is None:
-        # exact single-probe runs draw nothing; anything sampled is seeded
-        if seed is None and (n_perm is not None or samples > 1):
-            raise ValueError("sampled certification needs rng or seed")
-        rng = np.random.default_rng(seed)
+    # exact single-probe runs draw nothing; anything sampled is seeded
+    if seed is None and (n_perm is not None or samples > 1):
+        raise ValueError("sampled certification needs a seed")
+    rng = np.random.default_rng(seed)
     enc = avg_permutation_channel(message_bits, tau, taken, n_perm=n_perm, rng=rng)
     ideal = constant_mixed_channel(message_bits, tau, taken)
 
@@ -344,13 +342,12 @@ def certify_lemma_bound(
     *,
     samples: int = 50,
     n_perm: int | None = None,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> BoundReport:
     """Check the taken-free bound 2^(2 - tau) on maximally entangled plus
     Haar-random probes; the exact injection average when n_perm is None,
     n_perm sampled injections otherwise."""
-    return _certify(message_bits, tau, (), samples, n_perm, rng, seed)
+    return _certify(message_bits, tau, (), samples, n_perm, seed)
 
 
 def certify_corollary_bound(
@@ -360,10 +357,9 @@ def certify_corollary_bound(
     *,
     samples: int = 50,
     n_perm: int | None = None,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> BoundReport:
     """Same certification with taken ciphertexts excluded and the bound
     4 / (2^tau - |T| / 2^m), |T| counting distinct taken outputs; with no
     taken set this reproduces the taken-free certification exactly."""
-    return _certify(message_bits, tau, tuple(taken), samples, n_perm, rng, seed)
+    return _certify(message_bits, tau, tuple(taken), samples, n_perm, seed)

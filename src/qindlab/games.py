@@ -50,7 +50,6 @@ from .schemes import ClassicalScheme
 
 GAME_NAMES = ("ind", "fqind", "qind", "gqind")
 
-DEFAULT_SECURITY = 16
 CONFIDENCE = 0.99
 
 
@@ -318,7 +317,6 @@ def _play(
     scheme: ClassicalScheme,
     strategy: AdversaryStrategy,
     rng: np.random.Generator,
-    security: int,
     key,
     challenge_bit: int | None,
     challenge_randomness: int | None,
@@ -330,7 +328,7 @@ def _play(
     """
     oracle_type, check, challenge = GAME_STEPS[game]
     if key is None:
-        key = scheme.gen(security, rng)
+        key = scheme.gen(rng)
     adv = strategy.start(scheme, rng)
     if not hasattr(adv, f"{game}_template"):
         raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
@@ -356,14 +354,11 @@ def _runner(game: str, doc: str) -> Callable[..., GameOutcome]:
         strategy: AdversaryStrategy,
         rng: np.random.Generator,
         *,
-        security: int = DEFAULT_SECURITY,
         key=None,
         challenge_bit: int | None = None,
         challenge_randomness: int | None = None,
     ) -> GameOutcome:
-        return _play(
-            game, scheme, strategy, rng, security, key, challenge_bit, challenge_randomness
-        )
+        return _play(game, scheme, strategy, rng, key, challenge_bit, challenge_randomness)
 
     run.__name__ = run.__qualname__ = f"run_{game}_qcpa"
     run.__doc__ = doc
@@ -393,11 +388,11 @@ GAME_RUNNERS: dict[str, Callable[..., GameOutcome]] = {
 # -- aggregation ---------------------------------------------------------------
 
 
-def hoeffding_half_width(trials: int, confidence: float = CONFIDENCE) -> float:
-    """Two-sided Hoeffding epsilon: P(|rate - p| >= eps) <= 1 - confidence."""
+def hoeffding_half_width(trials: int) -> float:
+    """Two-sided Hoeffding epsilon: P(|rate - p| >= eps) <= 1 - CONFIDENCE."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+    return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * trials))
 
 
 def estimate_advantage(
@@ -406,8 +401,6 @@ def estimate_advantage(
     strategy: AdversaryStrategy,
     trials: int,
     seed: int,
-    *,
-    security: int = DEFAULT_SECURITY,
 ) -> AdvantageEstimate:
     """Run independent trials with per-trial derived seeds and aggregate.
 
@@ -416,7 +409,7 @@ def estimate_advantage(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wins = sum(
-        runner(scheme, strategy, np.random.default_rng(child), security=security).win
+        runner(scheme, strategy, np.random.default_rng(child)).win
         for child in np.random.SeedSequence(seed).spawn(trials)
     )
     rate = wins / trials
@@ -435,18 +428,13 @@ def estimate_advantage(
     )
 
 
-def distinct_keys(
-    scheme: ClassicalScheme,
-    count: int,
-    rng: np.random.Generator,
-    security: int = DEFAULT_SECURITY,
-) -> list:
+def distinct_keys(scheme: ClassicalScheme, count: int, rng: np.random.Generator) -> list:
     """The first ``count`` distinct keys scheme.gen draws from rng."""
     if count > scheme.key_space:
         raise ValueError(f"{count} distinct keys requested; {scheme.name} has {scheme.key_space}")
     keys: list = []
     while len(keys) < count:
-        k = scheme.gen(security, rng)
+        k = scheme.gen(rng)
         if k not in keys:
             keys.append(k)
     return keys
@@ -458,7 +446,6 @@ def exact_advantage(
     *,
     key_count: int = 2,
     seed: int = 0,
-    security: int = DEFAULT_SECURITY,
 ) -> AdvantageEstimate:
     """Exact-mode estimate: zero-width interval, branch enumeration, no sampling.
 
@@ -471,7 +458,7 @@ def exact_advantage(
     if not hasattr(strategy, "exact_win_probability"):
         raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")
     rng = np.random.default_rng([0x5EED, seed])
-    keys = distinct_keys(scheme, key_count, rng, security)
+    keys = distinct_keys(scheme, key_count, rng)
     space = 2**scheme.randomness_bits
     if space <= 8:
         r_values = list(range(space))

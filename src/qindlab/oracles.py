@@ -74,7 +74,7 @@ class EncryptionUnitary:
 
     def type2_action_table(self) -> np.ndarray:
         """Ciphertext index reached from |x, 0> for each plaintext x (type-2 only)."""
-        if not self.kind.startswith("type2"):
+        if self.kind != "type2":
             raise ValueError(f"not a type-2 oracle: {self.kind}")
         scheme = self.scheme
         m, ell = scheme.message_bits, scheme.ciphertext_bits
@@ -110,18 +110,16 @@ def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:
     return EncryptionUnitary("type1", scheme, key, r, m + ell, (x << ell) | (y ^ enc[x]))
 
 
-def type1_decryption_unitary(scheme: ClassicalScheme, key, r: int = 0) -> EncryptionUnitary:
+def type1_decryption_unitary(scheme: ClassicalScheme, key) -> EncryptionUnitary:
     """XOR-register lift of Dec_k on ciphertext + message wires.
 
-    Decryption takes no randomness; ``r`` is carried only so the oracle can be
-    matched against an encryption oracle in the interconversions.
+    Decryption takes no randomness, so the oracle carries randomness 0.
     """
-    r = _check_randomness(scheme, r)
     m, ell = scheme.message_bits, scheme.ciphertext_bits
     i = np.arange(2 ** (ell + m))
     y, w = i >> m, i & ((1 << m) - 1)
     dec = np.asarray(scheme.dec(key, np.arange(2**ell)), dtype=np.int64)
-    return EncryptionUnitary("type1-dec", scheme, key, r, ell + m, (y << m) | (w ^ dec[y]))
+    return EncryptionUnitary("type1-dec", scheme, key, 0, ell + m, (y << m) | (w ^ dec[y]))
 
 
 def type2_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:
@@ -179,12 +177,8 @@ def type2_from_type1(u1_enc: EncryptionUnitary, u1_dec: EncryptionUnitary) -> En
     """
     if u1_enc.kind != "type1" or u1_dec.kind != "type1-dec":
         raise ValueError("need a type-1 encryption oracle and a type-1 decryption oracle")
-    if (
-        u1_enc.scheme is not u1_dec.scheme
-        or u1_enc.key != u1_dec.key
-        or u1_enc.randomness != u1_dec.randomness
-    ):
-        raise ValueError("oracles must share scheme, key and randomness")
+    if u1_enc.scheme is not u1_dec.scheme or u1_enc.key != u1_dec.key:
+        raise ValueError("oracles must share scheme and key")
     scheme = u1_enc.scheme
     m, ell = scheme.message_bits, scheme.ciphertext_bits
     anc = ell - m
@@ -214,6 +208,6 @@ def interconversions_match(scheme: ClassicalScheme, key, r: int) -> tuple[bool, 
     u2 = type2_unitary(scheme, key, r)
     u1 = type1_unitary(scheme, key, r)
     type1_ok = np.array_equal(type1_from_type2(u2).permutation, u1.permutation)
-    built2 = type2_from_type1(u1, type1_decryption_unitary(scheme, key, r))
+    built2 = type2_from_type1(u1, type1_decryption_unitary(scheme, key))
     type2_ok = np.array_equal(built2.type2_action_table(), u2.type2_action_table())
     return bool(type1_ok), bool(type2_ok)

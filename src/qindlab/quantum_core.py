@@ -409,6 +409,15 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(k, np.einsum("ajbj->ab", t))
 
 
+def _outcome_weights(state: StateVector, wires: tuple[int, ...]):
+    """The register view and plan of ``_register_view``, and the squared norm
+    of each register outcome's branch (its Born weight, not renormalized)."""
+    block, plan = _register_view(state, wires)
+    weight = np.abs(block)
+    weight *= weight
+    return block, plan, weight.sum(axis=(0, 2))
+
+
 def _measure_block(state: StateVector, wires: tuple[int, ...], rng: np.random.Generator):
     """Draw the outcome of measuring ``wires``.
 
@@ -417,10 +426,7 @@ def _measure_block(state: StateVector, wires: tuple[int, ...], rng: np.random.Ge
     ``rng.choice(2**k, p=probs)`` makes: one uniform double searched in the
     normalized cumulative distribution.
     """
-    block, plan = _register_view(state, wires)
-    weight = np.abs(block)
-    weight *= weight
-    probs = weight.sum(axis=(0, 2))
+    block, plan, probs = _outcome_weights(state, wires)
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]

@@ -73,7 +73,7 @@ class ClassicalScheme:
     randomness_bits: int
     ciphertext_bits: int
     key_space: int  # how many keys gen can return
-    gen: Callable[[int, np.random.Generator], Any]
+    gen: Callable[[np.random.Generator], Any]
     enc: Callable[[Any, Any, Any], Any]
     dec: Callable[[Any, Any], Any]
     core: CoreFunction | None = None
@@ -95,8 +95,8 @@ def _prf_table(key: int, input_bits: int, output_bits: int) -> np.ndarray:
     return table
 
 
-def toy_prf(input_bits: int, output_bits: int, key_bits: int = 16) -> KeyedFunction:
-    """Random-table PRF: each key selects an independent uniform table."""
+def toy_prf(input_bits: int, output_bits: int) -> KeyedFunction:
+    """Random-table PRF: each 16-bit key selects an independent uniform table."""
     if input_bits < 0 or output_bits < 1:
         raise ValueError("need input_bits >= 0 and output_bits >= 1")
     if input_bits > _PRF_INPUT_CAP:
@@ -106,16 +106,14 @@ def toy_prf(input_bits: int, output_bits: int, key_bits: int = 16) -> KeyedFunct
         table = _prf_table(key, input_bits, output_bits)
         return _like(x, table[np.asarray(x)] if not _is_scalar(x) else table[int(x)])
 
-    return KeyedFunction(input_bits, output_bits, key_bits, evaluate)
+    return KeyedFunction(input_bits, output_bits, 16, evaluate)
 
 
-def constant_prf(input_bits: int, output_bits: int, value: int = 0) -> KeyedFunction:
-    """F_k(x) = value for every key and input; the leaky degenerate case."""
-    if not 0 <= value < 2**output_bits:
-        raise ValueError("value out of range")
+def constant_prf(input_bits: int, output_bits: int) -> KeyedFunction:
+    """F_k(x) = 0 for every key and input; the leaky degenerate case."""
 
     def evaluate(key, x):
-        return _like(x, np.asarray(x) * 0 + value if not _is_scalar(x) else value)
+        return _like(x, np.asarray(x) * 0)
 
     return KeyedFunction(input_bits, output_bits, 0, evaluate)
 
@@ -130,7 +128,7 @@ class PermutationFamily:
     name: str
     block_bits: int
     key_bits: int
-    init: Callable[[int, np.random.Generator], Any]
+    init: Callable[[np.random.Generator], Any]
     forward: Callable[[Any, Any], Any]
     inverse: Callable[[Any, Any], Any]
 
@@ -154,7 +152,7 @@ def ideal_prp_family(block_bits: int) -> PermutationFamily:
     if not 1 <= block_bits <= WIRE_CAP:
         raise ValueError(f"block_bits must be in 1..{WIRE_CAP}")
 
-    def init(security: int, rng: np.random.Generator):
+    def init(rng: np.random.Generator):
         return int(rng.integers(2**32))
 
     def forward(key, x):
@@ -194,7 +192,7 @@ def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
         table = _feistel_round_table(key, rnd, half)
         return _like(r, table[np.asarray(r)] if not _is_scalar(r) else table[int(r)])
 
-    def init(security: int, rng: np.random.Generator):
+    def init(rng: np.random.Generator):
         return int(rng.integers(2**16))
 
     def forward(key, x):
@@ -227,7 +225,7 @@ def identity_permutation_family(block_bits: int) -> PermutationFamily:
         name=f"identity-{block_bits}",
         block_bits=block_bits,
         key_bits=0,
-        init=lambda security, rng: 0,
+        init=lambda rng: 0,
         forward=lambda key, x: x,
         inverse=lambda key, y: y,
     )
@@ -285,7 +283,7 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
         randomness_bits=tau,
         ciphertext_bits=tau + m,
         key_space=keys,
-        gen=lambda security, rng: int(rng.integers(keys)),
+        gen=lambda rng: int(rng.integers(keys)),
         enc=enc,
         dec=dec,
         core=core,
@@ -335,7 +333,7 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
         randomness_bits=tau,
         ciphertext_bits=m + tau,
         key_space=2**family.key_bits,
-        gen=lambda security, rng: family.init(security, rng),
+        gen=family.init,
         enc=enc,
         dec=dec,
         core=core,

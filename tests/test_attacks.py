@@ -35,7 +35,7 @@ from qindlab.schemes import (
 
 def keys_for(scheme, count=3, seed=55):
     rng = np.random.default_rng(seed)
-    return [scheme.gen(16, rng) for _ in range(count)]
+    return [scheme.gen(rng) for _ in range(count)]
 
 
 def test_bz_expected_rates_are_frozen():
@@ -187,7 +187,7 @@ def test_identity_scheme_shows_why_force_exists():
     # identity permutation with tau=0 is QLP; the attack runs unforced and wins
     scheme = prp_scheme(2, 0, identity_permutation_family(2))
     attack = qlp_distinguisher()
-    key = scheme.gen(16, np.random.default_rng(0))
+    key = scheme.gen(np.random.default_rng(0))
     assert attack.exact_win_probability(scheme, key, 0) == pytest.approx(1.0)
 
 

@@ -209,9 +209,9 @@ def test_corollary_certificate_with_no_taken_set_equals_the_lemma_run():
 
 @pytest.mark.parametrize("certify", [certify_lemma_bound, certify_corollary_bound])
 def test_sampled_certificates_refuse_to_run_unseeded(certify):
-    with pytest.raises(ValueError, match="rng or seed"):
+    with pytest.raises(ValueError, match="needs a seed"):
         certify(1, 2, samples=1, n_perm=50)
-    with pytest.raises(ValueError, match="rng or seed"):
+    with pytest.raises(ValueError, match="needs a seed"):
         certify(1, 2, samples=3)
     # exact single-probe runs draw nothing and need no seed
     assert certify(1, 1, samples=1).satisfied

@@ -16,6 +16,8 @@ from qindlab.games import (
     GameOutcome,
     GameSetupError,
     RandomGuesser,
+    Type1LearningOracle,
+    Type2LearningOracle,
     estimate_advantage,
     exact_advantage,
     hoeffding_half_width,
@@ -25,6 +27,7 @@ from qindlab.games import (
     run_qind_qcpa,
     with_learning_queries,
 )
+from qindlab.quantum_core import state_from_bits
 from qindlab.schemes import (
     block_scheme,
     constant_prf,
@@ -67,7 +70,7 @@ def test_runner_table_covers_all_games():
 
 
 def test_constant_zero_prf_leaks_under_classical_queries():
-    scheme = prf_scheme(2, 2, prf=constant_prf(2, 2, value=0))
+    scheme = prf_scheme(2, 2, prf=constant_prf(2, 2))
     est = estimate_advantage(run_ind_qcpa, scheme, CiphertextReader(), 64, seed=5)
     assert est.win_rate == 1.0
 
@@ -153,6 +156,45 @@ def test_exact_advantage_counts_the_branches_it_evaluated():
         strategy = CountingEvaluator()
         est = exact_advantage(scheme, strategy, seed=seed)
         assert est.trials == 2 * strategy.calls
+
+
+def _basis_index(state):
+    (index,) = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
+    assert abs(state.amplitudes[index]) == pytest.approx(1.0)
+    return int(index)
+
+
+def test_type1_learning_query_xors_the_ciphertext_into_the_response():
+    scheme = prf_scheme(2, 2)
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
+    oracle = Type1LearningOracle(scheme, 6, np.random.default_rng(4))
+    for x in range(2**m):
+        state = state_from_bits(format(x, f"0{m}b") + "0" * ell)
+        out = oracle.query(state, tuple(range(m)), tuple(range(m, m + ell)))
+        r = oracle.randomness_used[-1]
+        assert _basis_index(out) == (x << ell) | int(scheme.enc(6, r, x))
+    assert oracle.query_count == 2**m
+
+
+def test_type2_learning_query_encrypts_in_place():
+    scheme = prf_scheme(2, 2)
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
+    oracle = Type2LearningOracle(scheme, 6, np.random.default_rng(4))
+    for x in range(2**m):
+        # a private wire 0 in |1> ahead of the message register
+        state = state_from_bits("1" + format(x, f"0{m}b"))
+        out, wires = oracle.query(state, (1, 2))
+        assert wires == (1, 2, 3, 4)
+        r = oracle.randomness_used[-1]
+        assert _basis_index(out) == (1 << ell) | int(scheme.enc(6, r, x))
+        assert oracle.query_count == x + 1
+
+
+def test_type2_learning_query_checks_the_message_wire_count():
+    oracle = Type2LearningOracle(prf_scheme(2, 2), 6, np.random.default_rng(4))
+    with pytest.raises(GameSetupError, match="2 message wires"):
+        oracle.query(state_from_bits("000"), (1,))
+    assert oracle.query_count == 0
 
 
 def test_with_learning_queries_pads_the_transcript():

@@ -28,7 +28,7 @@ RNG = np.random.default_rng(99)
 
 
 def keys_for(scheme, count=3):
-    return [scheme.gen(16, np.random.default_rng(7 + i)) for i in range(count)]
+    return [scheme.gen(np.random.default_rng(7 + i)) for i in range(count)]
 
 
 def test_type1_is_an_involution():
@@ -97,7 +97,7 @@ def test_type2_is_a_permutation_of_the_cipher_space():
 def test_one_wire_identity_scheme_is_cnot():
     # m=1, tau=0, identity permutation: Enc(x) = x, so the XOR lift is CNOT
     scheme = prp_scheme(1, 0, identity_permutation_family(1))
-    key = scheme.gen(16, RNG)
+    key = scheme.gen(RNG)
     u1 = type1_unitary(scheme, key, 0)
     assert list(u1.permutation) == [0, 1, 3, 2]
 
@@ -116,7 +116,7 @@ def test_type2_from_type1_agrees_on_cleared_workspace():
     for key in keys_for(scheme, 2):
         for r in range(2):
             u1e = type1_unitary(scheme, key, r)
-            u1d = type1_decryption_unitary(scheme, key, r)
+            u1d = type1_decryption_unitary(scheme, key)
             built = type2_from_type1(u1e, u1d)
             assert built.workspace_wires == scheme.ciphertext_bits
             assert built.num_wires == 2 * scheme.ciphertext_bits
@@ -133,6 +133,27 @@ def test_type2_adjoint_decrypts():
     for x in range(4):
         c = int(scheme.enc(key, r, x))
         assert adj.permutation[c] == x << tau
+
+
+def test_type2_action_table_refuses_an_adjoint():
+    scheme = prf_scheme(2, 2)
+    u2 = type2_unitary(scheme, 5, 1)
+    with pytest.raises(ValueError, match="not a type-2 oracle"):
+        u2.adjoint().type2_action_table()
+    # the oracle built from type-1 access is a type-2 oracle and keeps its table
+    built = type2_from_type1(type1_unitary(scheme, 5, 1), type1_decryption_unitary(scheme, 5))
+    assert np.array_equal(built.type2_action_table(), u2.type2_action_table())
+
+
+def test_type2_from_type1_needs_one_scheme_and_key():
+    scheme = prf_scheme(1, 1)
+    k0, k1 = keys_for(scheme, 2)
+    u1e = type1_unitary(scheme, k0, 1)
+    assert type1_decryption_unitary(scheme, k0).randomness == 0
+    with pytest.raises(ValueError, match="share scheme and key"):
+        type2_from_type1(u1e, type1_decryption_unitary(scheme, k1))
+    with pytest.raises(ValueError, match="share scheme and key"):
+        type2_from_type1(u1e, type1_decryption_unitary(prf_scheme(1, 1), k0))
 
 
 def test_type1_adjoint_is_itself():

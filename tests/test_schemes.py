@@ -34,23 +34,23 @@ def exhaustive_roundtrip(scheme: ClassicalScheme, key) -> None:
 def test_prf_scheme_roundtrip():
     scheme = prf_scheme(2, 2)
     for _ in range(4):
-        exhaustive_roundtrip(scheme, scheme.gen(16, RNG))
+        exhaustive_roundtrip(scheme, scheme.gen(RNG))
 
 
 def test_prp_scheme_roundtrip():
     scheme = prp_scheme(2, 1, ideal_prp_family(3))
     for _ in range(4):
-        exhaustive_roundtrip(scheme, scheme.gen(16, RNG))
+        exhaustive_roundtrip(scheme, scheme.gen(RNG))
 
 
 def test_block_scheme_roundtrip():
     scheme = block_scheme(prp_scheme(1, 2, ideal_prp_family(3)), 2)
-    exhaustive_roundtrip(scheme, scheme.gen(16, RNG))
+    exhaustive_roundtrip(scheme, scheme.gen(RNG))
 
 
 def test_prf_ciphertext_carries_randomness_prefix():
     scheme = prf_scheme(2, 2)
-    key = scheme.gen(16, RNG)
+    key = scheme.gen(RNG)
     for r in range(4):
         for x in range(4):
             c = int(scheme.enc(key, r, x))
@@ -59,7 +59,7 @@ def test_prf_ciphertext_carries_randomness_prefix():
 
 def test_prf_core_xors_the_message():
     scheme = prf_scheme(2, 3)
-    key = scheme.gen(16, RNG)
+    key = scheme.gen(RNG)
     core = scheme.core
     assert core.output_bits == 2
     for r in range(8):
@@ -79,7 +79,7 @@ def test_prp_with_randomness_has_no_core():
 def test_prp_without_randomness_is_quasi_length_preserving():
     scheme = prp_scheme(2, 0, ideal_prp_family(2))
     assert is_quasi_length_preserving(scheme)
-    key = scheme.gen(16, RNG)
+    key = scheme.gen(RNG)
     core = scheme.core
     for x in range(4):
         assert core.f(key, 0, x) == scheme.enc(key, 0, x)
@@ -111,7 +111,7 @@ def test_ideal_family_keys_give_distinct_tables():
 @pytest.mark.parametrize("bits", [9, 10, 14])
 def test_wide_ideal_family_is_an_explicit_bijection(bits):
     fam = ideal_prp_family(bits)
-    key = fam.init(16, np.random.default_rng(bits))
+    key = fam.init(np.random.default_rng(bits))
     domain = np.arange(2**bits)
     image = np.asarray(fam.forward(key, domain))
     assert np.array_equal(np.sort(image), domain)
@@ -143,7 +143,7 @@ def test_identity_family_maps_everything_to_itself():
 
 
 def test_constant_prf_ignores_input():
-    f = constant_prf(2, 2, value=0)
+    f = constant_prf(2, 2)
     assert all(f(0, r) == 0 for r in range(4))
 
 
@@ -170,7 +170,7 @@ def test_block_scheme_dimensions_scale_with_mu():
 def test_block_scheme_encrypts_blocks_independently():
     base = prp_scheme(1, 1, ideal_prp_family(2))
     blocks = block_scheme(base, 2)
-    key = blocks.gen(16, RNG)
+    key = blocks.gen(RNG)
     for r0 in range(2):
         for r1 in range(2):
             r = (r0 << 1) | r1
@@ -215,9 +215,9 @@ def test_feistel_prp_scheme_roundtrip_property(m, tau, key, r, x):
     assert int(scheme.dec(key, scheme.enc(key, r, x))) == x
 
 
-def test_gen_respects_security_parameter():
+def test_gen_draws_varied_16_bit_keys():
     scheme = prf_scheme(2, 1)
-    keys = {int(scheme.gen(8, np.random.default_rng(i))) for i in range(32)}
+    keys = {int(scheme.gen(np.random.default_rng(i))) for i in range(32)}
     assert all(0 <= k < 2**16 for k in keys)
     assert len(keys) > 1
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import attacks, channels, games, oracles, quantum_core, schemes
 
 EXACT_ATOL = 1e-10
-ENTRYWISE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,14 @@ certify_lemma_bound and certify_corollary_bound compare the two over a
 maximally entangled probe plus Haar-random purifications. On a probe the
 exact difference is X tensor (J_F - I_F)/(|F|(|F| - 1)), X the sum of its
 off-diagonal plaintext blocks, so its trace distance is ||X||_1 / |F|: the
-verdict. The dense outputs' per-input trace distance, of the sampled mixture
-when one is used, is reported as the witness.
+verdict. For a pure probe X = v v^dag - M M^dag, M its amplitudes as a
+2^m x 2^m matrix and v = M 1, so exact runs score every probe from X alone
+and report that closed form as the witness too; they build no channel and
+no dense output, and run wherever the 2m-wire probe and the (m + tau)-wire
+free set fit under the wire cap. Only sampled runs, and the coherence block
+of an exact one-message-bit run, apply channels to dense 2^(2m + tau)-square
+outputs, capped at the dense-matrix limit; a sampled run's witness is its
+mixture's per-input trace distance.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 
 from .quantum_core import (
     _DENSE_CAP,
+    WIRE_CAP,
     DensityMatrix,
     maximally_entangled,
     random_pure_bipartite,
@@ -232,11 +239,13 @@ class BoundReport:
 
     satisfied compares exact_trace_distance, the exact channel's distance
     maximized over the run's probes, with the bound. max_trace_distance,
-    worst_input and margin describe the probe witness of the channel in use
-    (sampled when n_perm is set); max_difference_trace_norm is twice the
-    distance. taken_count counts distinct taken outputs. vacuous marks
-    bounds >= 1 that no trace distance could violate. chi_c fields are filled
-    only on exact runs with one reference wire.
+    worst_input and margin describe the probe witness of the channel in use:
+    on exact runs the closed form ||X||_1 / |F| itself, on sampled runs
+    (n_perm set) the sampled mixture's dense outputs.
+    max_difference_trace_norm is twice the distance. taken_count counts
+    distinct taken outputs. vacuous marks bounds >= 1 that no trace distance
+    could violate. chi_c fields are filled only on exact runs with one
+    reference wire.
     """
 
     message_bits: int
@@ -266,23 +275,30 @@ def _certify(
 ) -> BoundReport:
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if 2 * message_bits + tau > _DENSE_CAP:
-        raise ValueError(
-            f"certification needs {2 * message_bits + tau} wires; "
-            f"dense matrices are capped at {_DENSE_CAP}"
-        )
+    # exact runs above one message bit build no dense matrix: only the
+    # 2m-wire probe and the (m + tau)-wire free set must fit
+    dense = n_perm is not None or message_bits == 1
+    if dense:
+        wires, cap, what = 2 * message_bits + tau, _DENSE_CAP, "dense matrices"
+    else:
+        wires, cap, what = max(message_bits + tau, 2 * message_bits), WIRE_CAP, "states"
+    if wires > cap:
+        raise ValueError(f"certification needs {wires} wires; {what} are capped at {cap}")
     free = _free_set(message_bits, tau, taken)
     taken_count = 2 ** (message_bits + tau) - len(free)
     # with no taken outputs this is lemma_bound(tau) exactly
     bound = corollary_bound(message_bits, tau, taken_count)
+    d = 2**message_bits
+    if len(free) < d:
+        raise ValueError("fewer free ciphertexts than plaintexts")
     # exact single-probe runs draw nothing; anything sampled is seeded
     if seed is None and (n_perm is not None or samples > 1):
         raise ValueError("sampled certification needs a seed")
     rng = np.random.default_rng(seed)
-    enc = avg_permutation_channel(message_bits, tau, taken, n_perm=n_perm, rng=rng)
-    ideal = constant_mixed_channel(message_bits, tau, taken)
+    if dense:
+        enc = avg_permutation_channel(message_bits, tau, taken, n_perm=n_perm, rng=rng)
+        ideal = constant_mixed_channel(message_bits, tau, taken)
 
-    d = 2**message_bits
     worst_norm = -1.0
     worst_name = ""
     exact = 0.0
@@ -295,27 +311,34 @@ def _certify(
         else:
             probe = random_pure_bipartite(message_bits, message_bits, rng)
             name = f"haar-{i}"
-        rho = probe.to_density()
-        # the exact channel's distance on this probe: ||X||_1 / |F|
-        rho4 = rho.matrix.reshape(d, d, d, d)
-        off_diagonal = np.einsum("asbt->ab", rho4) - np.einsum("asbs->ab", rho4)
-        exact = max(exact, trace_norm(off_diagonal) / len(free))
-        delta = (
-            apply_channel_bipartite(enc, rho, message_bits).matrix
-            - apply_channel_bipartite(ideal, rho, message_bits).matrix
-        )
-        norm = trace_norm(delta)
+        # the exact channel's distance on this probe: ||X||_1 / |F|, with
+        # X = v v^dag - M M^dag, M the amplitudes as (reference, plaintext)
+        # and v = M 1
+        amps = probe.amplitudes.reshape(d, d)
+        v = amps.sum(axis=1)
+        probe_exact = trace_norm(np.outer(v, v.conj()) - amps @ amps.conj().T) / len(free)
+        exact = max(exact, probe_exact)
+        norm = 2.0 * probe_exact
+        if n_perm is not None or (i == 0 and message_bits == 1):
+            rho = probe.to_density()
+            delta = (
+                apply_channel_bipartite(enc, rho, message_bits).matrix
+                - apply_channel_bipartite(ideal, rho, message_bits).matrix
+            )
+            if n_perm is not None:
+                # the sampled channel's own witness
+                norm = trace_norm(delta)
+            else:
+                # 2^m times the (ref=0, ref=1) block of the difference
+                chi = d * delta.reshape(d, enc.out_dim, d, enc.out_dim)[0, :, 1, :]
+                if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
+                    raise AssertionError("coherence block is not Hermitian")
+                eigs = np.linalg.eigvalsh(chi)
+                chi_eigs = tuple(float(e) for e in eigs)
+                chi_norm = float(np.sum(np.abs(eigs)))
         if norm > worst_norm:
             worst_norm = norm
             worst_name = name
-        if i == 0 and n_perm is None and message_bits == 1:
-            # 2^m times the (ref=0, ref=1) block of the difference
-            chi = d * delta.reshape(d, enc.out_dim, d, enc.out_dim)[0, :, 1, :]
-            if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
-                raise AssertionError("coherence block is not Hermitian")
-            eigs = np.linalg.eigvalsh(chi)
-            chi_eigs = tuple(float(e) for e in eigs)
-            chi_norm = float(np.sum(np.abs(eigs)))
     distance = 0.5 * worst_norm
     return BoundReport(
         message_bits=message_bits,

@@ -35,7 +35,7 @@ DENSITY_ATOL = 1e-9
 # Dense matrices above this wire count are refused (the permutation-table path
 # in oracles covers the large cases).
 _DENSE_CAP = 10
-# Positive-semidefiniteness is verified by eigendecomposition up to this
+# Positive-semidefiniteness is verified by Cholesky factorization up to this
 # dimension; larger matrices check Hermiticity and trace only.
 _PSD_CHECK_DIM = 512
 
@@ -117,9 +117,16 @@ class DensityMatrix:
         if abs(tr - 1.0) > DENSITY_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
         if d <= _PSD_CHECK_DIM:
-            eigs = np.linalg.eigvalsh(arr)
-            if eigs.min() < -DENSITY_ATOL:
-                raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+            # arr + atol I has a Cholesky factor iff its least eigenvalue is
+            # above -atol; only a failed factorization pays for the spectrum
+            shifted = arr.copy()
+            shifted.ravel()[:: d + 1] += DENSITY_ATOL
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                low = np.linalg.eigvalsh(arr).min()
+                if low < -DENSITY_ATOL:
+                    raise ValueError(f"density matrix has negative eigenvalue {low}") from None
 
     @property
     def dim(self) -> int:

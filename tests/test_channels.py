@@ -25,6 +25,7 @@ from qindlab.quantum_core import (
     partial_trace,
     random_pure_bipartite,
     state_from_bits,
+    trace_norm,
     zero_state,
 )
 
@@ -345,3 +346,42 @@ def test_repeated_taken_outputs_count_once():
     repeated = certify_corollary_bound(1, 2, (0,) * 6, samples=1)
     assert repeated.taken_count == 1
     assert asdict(repeated) == asdict(once)
+
+
+def _dense_distances(m, tau, taken, probes):
+    """Each probe's exact-channel distance from the dense outputs."""
+    enc = avg_permutation_channel(m, tau, taken)
+    ideal = constant_mixed_channel(m, tau, taken)
+    out = []
+    for probe in probes:
+        rho = probe.to_density()
+        delta = (
+            apply_channel_bipartite(enc, rho, m).matrix
+            - apply_channel_bipartite(ideal, rho, m).matrix
+        )
+        out.append(0.5 * trace_norm(delta))
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, tau",
+    [(m, tau) for m in (1, 2, 3) for tau in range(0, 11 - 2 * m)],
+)
+def test_exact_witness_equals_the_dense_distance(m, tau):
+    """Exact runs score probes from X alone; the dense outputs, which they
+    do not build, give the same distance, probe by probe."""
+    samples, seed = 3, 20 + tau
+    taken_sets = [()]
+    if tau > 0:
+        taken_sets.append(tuple(range(1, 2 ** (m + tau), 3)))
+    for taken in taken_sets:
+        report = certify_corollary_bound(m, tau, taken, samples=samples, seed=seed)
+        # the exact run's probes: maximally entangled, then Haar draws from the seed
+        rng = np.random.default_rng(seed)
+        probes = [maximally_entangled(m)]
+        probes += [random_pure_bipartite(m, m, rng) for _ in range(samples - 1)]
+        dense = _dense_distances(m, tau, taken, probes)
+        assert abs(report.max_trace_distance - max(dense)) <= 1e-12
+        assert abs(report.max_difference_trace_norm - 2 * max(dense)) <= 1e-12
+        names = ["maximally-entangled"] + [f"haar-{i}" for i in range(1, samples)]
+        assert report.worst_input == names[int(np.argmax(dense))]

@@ -415,6 +415,38 @@ def test_lemma_above_the_dense_cap_exits_2_before_building(capsys, monkeypatch):
     assert "certification needs 11 wires" in err
 
 
+def test_exact_lemma_runs_past_the_dense_cap_without_building(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an exact run at m >= 2 built a channel")
+
+    monkeypatch.setattr(cli.channels, "avg_permutation_channel", never)
+    monkeypatch.setattr(cli.channels, "constant_mixed_channel", never)
+    code, out, _ = run_cli(
+        capsys, ["lemma", "--m", "2", "--tau", "8", "--mode", "exact", "--no-timing"]
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    m, tau = 2, 8
+    expected = 2 * (2**m - 1) / (2**m * 2 ** (m + tau))
+    assert results["max_trace_distance"] == pytest.approx(expected, abs=1e-15)
+    assert results["exact_trace_distance"] == pytest.approx(expected, abs=1e-15)
+    assert results["satisfied"]
+
+
+@pytest.mark.parametrize(
+    "m, tau, message",
+    [
+        ("2", "13", "certification needs 15 wires; states are capped at 14"),
+        ("1", "9", "certification needs 11 wires; dense matrices are capped at 10"),
+    ],
+)
+def test_exact_lemma_above_its_cap_exits_2(capsys, m, tau, message):
+    code, out, err = run_cli(capsys, ["lemma", "--m", m, "--tau", tau, "--mode", "exact"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def _declared_console_script():
     """The `qindlab` console-script entry point as the project declares it.
 

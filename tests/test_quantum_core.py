@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qindlab.quantum_core import (
     CNOT,
+    DENSITY_ATOL,
     H,
     WIRE_CAP,
     X,
@@ -342,3 +343,27 @@ def test_private_constructor_keeps_the_norm_and_wire_checks():
         _owned_state(1, np.array([1.0, 1.0], dtype=np.complex128))
     with pytest.raises(ValueError):
         append_wires(zero_state(WIRE_CAP), 1)
+
+
+def _density_with_least_eigenvalue(d: int, least: float) -> np.ndarray:
+    """A unit-trace Hermitian d x d matrix, in a random basis, whose least
+    eigenvalue is ``least``."""
+    rng = np.random.default_rng(d)
+    rest = rng.uniform(0.5, 1.5, size=d - 1)
+    eigs = np.concatenate([[least], rest * (1.0 - least) / rest.sum()])
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    mat = (q * eigs) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 128])
+def test_density_matrix_psd_check_sits_at_the_tolerance(d):
+    n = d.bit_length() - 1
+    accepted = _density_with_least_eigenvalue(d, -0.5 * DENSITY_ATOL)
+    assert np.linalg.eigvalsh(accepted).min() < 0
+    DensityMatrix(n, accepted)
+    refused = _density_with_least_eigenvalue(d, -2 * DENSITY_ATOL)
+    with pytest.raises(ValueError, match="negative eigenvalue") as err:
+        DensityMatrix(n, refused)
+    reported = float(str(err.value).rsplit(" ", 1)[1])
+    assert reported == pytest.approx(-2 * DENSITY_ATOL, rel=1e-3)

@@ -98,6 +98,12 @@ def _product_challenge(d0: StateDescription, d1: StateDescription) -> GqindChall
     return GqindChallenge(state, tuple(range(m)), tuple(range(m, 2 * m)))
 
 
+@functools.lru_cache(maxsize=64)
+def _description_pair(attack: HadamardTest, m: int) -> tuple[StateDescription, StateDescription]:
+    """An attack's qind pair on ``m`` message wires, built once per (attack, m)."""
+    return attack.descriptions(m)
+
+
 class _HadamardTrial:
     """One trial of a HadamardTest; offers templates only for the attack's games."""
 
@@ -154,8 +160,8 @@ class HadamardTest(AdversaryStrategy):
         return None
 
     def template(self, scheme: ClassicalScheme, game: str):
-        """The challenge template this attack sends in ``game``."""
-        pair = self.descriptions(scheme.message_bits)
+        """The challenge template this attack sends in ``game``; trials share it."""
+        pair = _description_pair(self, scheme.message_bits)
         return pair if game == "qind" else _product_challenge(*pair)
 
     def start(self, scheme, rng):

@@ -30,6 +30,7 @@ child seed per trial up front, so aggregates are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -482,6 +483,12 @@ def exact_advantage(
 # -- baseline and utility strategies -------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _guessing_pair(m: int) -> tuple[StateDescription, StateDescription]:
+    """|0...0> against |1...1>, built once per m; trials share it."""
+    return StateDescription(m), StateDescription(m, tuple(X(w) for w in range(m)))
+
+
 class _GuessingTrial:
     """Game-agnostic challenge templates for strategies that only guess.
 
@@ -498,10 +505,7 @@ class _GuessingTrial:
         return 0, 2**self._m - 1
 
     def qind_template(self) -> tuple[StateDescription, StateDescription]:
-        return (
-            StateDescription(self._m),
-            StateDescription(self._m, tuple(X(w) for w in range(self._m))),
-        )
+        return _guessing_pair(self._m)
 
     def fqind_template(self) -> FqindChallenge:
         m, ell = self._m, self._ell

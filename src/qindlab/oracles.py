@@ -22,7 +22,8 @@ from typing import Any
 
 import numpy as np
 
-from .quantum_core import StateVector, UnitaryOperator, _check_permutation, _permute_basis
+from .quantum_core import StateVector, UnitaryOperator
+from .quantum_core import _check_permutation, _permute_basis, _swap_basis
 from .schemes import ClassicalScheme
 
 
@@ -44,6 +45,10 @@ class EncryptionUnitary:
 
     def __post_init__(self) -> None:
         perm = _check_permutation(self.permutation, self.num_wires)
+        # an XOR lift |x, y> -> |x, y ^ f(x)> is its own inverse, so it is
+        # applied by a gather (``_swap_basis``); refuse a table that is not
+        if self.kind.startswith("type1") and not np.array_equal(perm[perm], np.arange(perm.size)):
+            raise ValueError(f"{self.kind} table is not its own inverse")
         perm.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
 
@@ -58,8 +63,10 @@ class EncryptionUnitary:
         return UnitaryOperator(self.num_wires, mat)
 
     def apply(self, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-        # the table was checked to be a permutation at construction
-        return _permute_basis(self.permutation, state, wires)
+        # the table was checked at construction: a permutation, and for
+        # type-1 kinds its own inverse
+        permute = _swap_basis if self.kind.startswith("type1") else _permute_basis
+        return permute(self.permutation, state, wires)
 
     def adjoint(self) -> EncryptionUnitary:
         return EncryptionUnitary(

@@ -356,16 +356,29 @@ def _check_permutation(perm, num_wires: int) -> np.ndarray:
     return perm
 
 
-def _permute_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-    """apply_basis_permutation for a table already checked to be a permutation."""
+def _table_view(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]):
+    """``_register_view`` of the register a basis table of that length acts on."""
     wires = tuple(wires)
     if perm.shape != (2 ** len(wires),):
         raise ValueError(f"permutation of length {perm.shape} does not fit {len(wires)} wires")
     _check_wires(state.num_wires, wires)
-    block, plan = _register_view(state, wires)
+    return _register_view(state, wires)
+
+
+def _permute_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
+    """apply_basis_permutation for a table already checked to be a permutation."""
+    block, plan = _table_view(perm, state, wires)
     out = np.empty_like(block)
     out[:, perm] = block
     return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
+
+
+def _swap_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
+    """_permute_basis for a table already checked to be its own inverse: index i
+    reads perm^-1[i] = perm[i], one gather in place of the scatter, which is
+    slow on registers with many leading slices (14-wire fqind: (8, 2048, 1))."""
+    block, plan = _table_view(perm, state, wires)
+    return _owned_state(state.num_wires, _flat_amplitudes(block.take(perm, axis=1), plan))
 
 
 def apply_basis_permutation(
@@ -515,8 +528,9 @@ def trace_distance(a: DensityMatrix | StateVector, b: DensityMatrix | StateVecto
 # -- descriptions and random states ------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def run_gates(num_wires: int, gates: tuple[Gate, ...]) -> StateVector:
-    """Run a gate list from |0...0>."""
+    """Run a gate list from |0...0>; the state is immutable, so callers share it."""
     state = zero_state(num_wires)
     for gate in gates:
         state = apply_unitary(_gate_unitary(gate.name), state, gate.wires)

@@ -134,13 +134,18 @@ class PermutationFamily:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _ideal_table(seed: int, block_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng([0x1DEA, int(seed), block_bits])
-    fwd = rng.permutation(2**block_bits).astype(np.int64)
-    bwd = np.argsort(fwd)
-    fwd.setflags(write=False)
-    bwd.setflags(write=False)
-    return fwd, bwd
+def _ideal_table(seed: int, block_bits: int) -> np.ndarray:
+    table = np.random.default_rng([0x1DEA, int(seed), block_bits]).permutation(2**block_bits)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _ideal_inverse(seed: int, block_bits: int) -> np.ndarray:
+    """The inverse of ``_ideal_table``, built the first time decryption asks."""
+    table = np.argsort(_ideal_table(seed, block_bits))
+    table.setflags(write=False)
+    return table
 
 
 def ideal_prp_family(block_bits: int) -> PermutationFamily:
@@ -156,10 +161,10 @@ def ideal_prp_family(block_bits: int) -> PermutationFamily:
         return int(rng.integers(2**32))
 
     def forward(key, x):
-        return _like(x, _ideal_table(key, block_bits)[0][x])
+        return _like(x, _ideal_table(key, block_bits)[x])
 
     def inverse(key, y):
-        return _like(y, _ideal_table(key, block_bits)[1][y])
+        return _like(y, _ideal_inverse(key, block_bits)[y])
 
     return PermutationFamily(
         name=f"ideal-{block_bits}",

@@ -15,15 +15,17 @@ from qindlab.attacks import (
     qlp_distinguisher,
 )
 from qindlab.games import (
+    GAME_RUNNERS,
     GAME_STEPS,
     GameSetupError,
+    RandomGuesser,
     estimate_advantage,
     hoeffding_half_width,
     run_fqind_qcpa,
     run_gqind_qcpa,
     run_qind_qcpa,
 )
-from qindlab.quantum_core import apply_unitary, hadamard_all
+from qindlab.quantum_core import apply_unitary, hadamard_all, run_gates
 from qindlab.schemes import (
     block_scheme,
     identity_permutation_family,
@@ -233,26 +235,34 @@ def test_description_attacks_score_gqind_as_qind():
                 )
 
 
-def test_trials_share_one_unchanged_template():
-    seen = []
-
-    def recording(cls):
-        class Recording(cls):
-            def template(self, scheme, game):
-                seen.append(super().template(scheme, game))
-                return seen[-1]
-
-        return Recording
-
+def test_trials_share_one_unchanged_template(monkeypatch):
     cases = (
-        (recording(type(bz_adversary())), "fqind", run_fqind_qcpa, prf_scheme(2, 2)),
-        (recording(type(qlp_distinguisher())), "gqind", run_gqind_qcpa, prf_scheme(2, 1)),
+        (bz_adversary(), "fqind", prf_scheme(2, 2)),
+        (qlp_distinguisher(), "gqind", prf_scheme(2, 1)),
+        (qlp_distinguisher(), "qind", prf_scheme(2, 2)),
+        (RandomGuesser(), "qind", prf_scheme(2, 2)),
     )
-    for cls, game, runner, scheme in cases:
-        seen.clear()
-        first = cls().template(scheme, game)
-        before = first.state.amplitudes.copy()
-        estimate_advantage(runner, scheme, cls(), 12, seed=8)
-        assert len(seen) == 13
+    for strategy, game, scheme in cases:
+        oracle, check, challenge = GAME_STEPS[game]
+        seen = []
+
+        def recording(scheme, template):
+            seen.append(template)
+            check(scheme, template)
+
+        monkeypatch.setitem(GAME_STEPS, game, (oracle, recording, challenge))
+        first = getattr(strategy.start(scheme, np.random.default_rng(0)), f"{game}_template")()
+        if game == "qind":  # the challenger rebuilds each member from its gates
+            states = [run_gates(d.num_wires, d.gates) for d in first]
+        else:
+            states = [first.state]
+        before = [s.amplitudes.copy() for s in states]
+        estimate_advantage(GAME_RUNNERS[game], scheme, strategy, 12, seed=8)
+        monkeypatch.undo()
+        assert len(seen) == 12
         assert all(t is first for t in seen)
-        assert np.array_equal(first.state.amplitudes, before)
+        if game == "qind":
+            assert all(run_gates(d.num_wires, d.gates) is s for d, s in zip(first, states))
+        for state, amplitudes in zip(states, before):
+            assert not state.amplitudes.flags.writeable
+            assert np.array_equal(state.amplitudes, amplitudes)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qindlab import schemes
-from qindlab.attacks import EntangledBlockProbe, qlp_distinguisher
+from qindlab.attacks import EntangledBlockProbe, bz_adversary, qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
     GAME_RUNNERS,
@@ -336,6 +336,7 @@ def test_entangled_block_probe_runs_on_block_scheme():
 
 
 def test_key_table_caches_stay_bounded_over_fresh_keys():
+    schemes._ideal_inverse.cache_clear()
     wide = prp_scheme(2, 8, ideal_prp_family(10))
     estimate_advantage(run_qind_qcpa, wide, qlp_distinguisher(force=True), 2000, seed=4)
     estimate_advantage(run_qind_qcpa, prf_scheme(2, 2), qlp_distinguisher(), 2000, seed=4)
@@ -343,3 +344,39 @@ def test_key_table_caches_stay_bounded_over_fresh_keys():
         info = cached.cache_info()
         assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
+    # the games never decrypt, so they build no inverse table
+    assert schemes._ideal_inverse.cache_info().currsize == 0
+    x = np.arange(4)
+    for key in range(schemes._TABLE_CACHE_SIZE + 16):
+        assert np.array_equal(wide.dec(key, wide.enc(key, key % 256, x)), x)
+    info = schemes._ideal_inverse.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+
+
+# The benchmark's wide games: 14-wire fqind, whose register is contiguous at
+# challenge bit 1 and gapped at bit 0; qind on a 10-bit ideal PRP; 14-wire
+# gqind. Their seeded win counts are pinned: a changed draw, table or
+# permutation path shows here.
+WIDE_GAMES = (
+    ("fqind", lambda: prf_scheme(3, 5), lambda: bz_adversary(), 37),
+    (
+        "qind",
+        lambda: prp_scheme(2, 8, ideal_prp_family(10)),
+        lambda: qlp_distinguisher(force=True),
+        17,
+    ),
+    ("gqind", lambda: prf_scheme(6, 8), lambda: qlp_distinguisher(), 40),
+)
+
+
+@pytest.mark.parametrize("game,scheme,strategy,wins", WIDE_GAMES)
+def test_wide_games_keep_their_seeded_wins(game, scheme, strategy, wins):
+    outcomes = []
+
+    def runner(*args, **kwargs):
+        outcomes.append(GAME_RUNNERS[game](*args, **kwargs))
+        return outcomes[-1]
+
+    assert estimate_advantage(runner, scheme(), strategy(), 40, seed=12).wins == wins
+    assert {o.challenge_bit for o in outcomes} == {0, 1}

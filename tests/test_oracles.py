@@ -163,6 +163,15 @@ def test_type1_adjoint_is_itself():
     assert np.array_equal(u1.adjoint().permutation, u1.permutation)
 
 
+def test_type1_tables_must_be_their_own_inverse():
+    # a 4-cycle is a permutation but not an involution: fine for type-2 only
+    cycle = np.array([1, 2, 3, 0])
+    assert EncryptionUnitary("type2", None, None, 0, 2, cycle).permutation.tolist() == [1, 2, 3, 0]
+    for kind in ("type1", "type1-dec"):
+        with pytest.raises(ValueError, match="own inverse"):
+            EncryptionUnitary(kind, None, None, 0, 2, cycle)
+
+
 def test_operator_matrix_is_unitary():
     scheme = prf_scheme(2, 1)
     key = keys_for(scheme, 1)[0]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qindlab.oracles import EncryptionUnitary
 from qindlab.quantum_core import (
     CNOT,
     DENSITY_ATOL,
@@ -264,12 +265,23 @@ def test_register_operations_match_dense_references(case):
     dense = embed_unitary(u, n, wires).matrix @ state.amplitudes
     assert np.allclose(apply_unitary(u, state, wires).amplitudes, dense, atol=1e-12)
 
+    def dense_permutation(table):
+        mat = np.zeros((2**k, 2**k), dtype=np.complex128)
+        mat[table, np.arange(2**k)] = 1.0
+        return embed_unitary(UnitaryOperator(k, mat), n, wires).matrix @ state.amplitudes
+
     perm = rng.permutation(2**k)
-    mat = np.zeros((2**k, 2**k), dtype=np.complex128)
-    mat[perm, np.arange(2**k)] = 1.0
-    dense = embed_unitary(UnitaryOperator(k, mat), n, wires).matrix @ state.amplitudes
     permuted = apply_basis_permutation(perm, state, wires).amplitudes
-    assert np.array_equal(permuted, dense)
+    assert np.array_equal(permuted, dense_permutation(perm))
+
+    # an XOR table |x, y> -> |x, y ^ f(x)> over a split of the register is its
+    # own inverse, and a type-1 lift applies it by a gather
+    low = int(rng.integers(k + 1))
+    index = np.arange(2**k)
+    x, y = index >> low, index & ((1 << low) - 1)
+    xor = (x << low) | (y ^ rng.integers(2**low, size=2 ** (k - low))[x])
+    lift = EncryptionUnitary("type1", None, None, 0, k, xor)
+    assert np.array_equal(lift.apply(state, wires).amplitudes, dense_permutation(xor))
 
     marginal = _reference_marginal(state, wires)
     draw_seed = int(rng.integers(2**32))

@@ -55,6 +55,7 @@ from .games import (
 )
 from .oracles import (
     EncryptionUnitary,
+    encrypt_fresh_register,
     type1_decryption_unitary,
     type1_from_type2,
     type1_unitary,
@@ -95,7 +96,6 @@ from .quantum_core import (
 )
 from .schemes import (
     ClassicalScheme,
-    CoreFunction,
     KeyedFunction,
     PermutationFamily,
     block_scheme,

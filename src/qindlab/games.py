@@ -37,12 +37,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .oracles import type1_unitary, type2_unitary
+from .oracles import encrypt_fresh_register, type1_unitary
 from .quantum_core import (
     StateDescription,
     StateVector,
     X,
-    append_wires,
     measure_and_remove,
     sample_description,
     zero_state,
@@ -176,16 +175,10 @@ class Type2LearningOracle(_LearningOracle):
         self, state: StateVector, message_wires: tuple[int, ...]
     ) -> tuple[StateVector, tuple[int, ...]]:
         """Returns the new state and the wires now holding the ciphertext."""
-        scheme = self._scheme
-        m = scheme.message_bits
+        m = self._scheme.message_bits
         if len(message_wires) != m:
             raise GameSetupError(f"type-2 query needs {m} message wires")
-        anc = scheme.ciphertext_bits - m
-        n = state.num_wires
-        ext = append_wires(state, anc)
-        wires = tuple(message_wires) + tuple(range(n, n + anc))
-        u2 = type2_unitary(scheme, self._key, self._next_r())
-        return u2.apply(ext, wires), wires
+        return encrypt_fresh_register(self._scheme, self._key, self._next_r(), state, message_wires)
 
 
 def _challenge_bit(rng: np.random.Generator, forced: int | None) -> int:
@@ -218,12 +211,8 @@ def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what:
 # -- per-game challenge steps ---------------------------------------------------
 # A check validates the adversary's template. A challenge step builds the
 # response from (scheme, key, template, b, r, rng), may draw from rng only
-# after b and r are fixed, and hands the response to ``send``. Sending from
-# inside the step keeps its oracle table alive while the adversary works. In
-# a replay of the wide benchmark round, returning the response and freeing
-# the table first took 14-wire gqind trials from under 1 to about 160 minor
-# page faults each, and the benchmark's gqind rate from 1,641 to 1,230
-# trials/s, as malloc gave the freed heap top back and faulted it in again.
+# after b and r are fixed, and hands the response to ``send``: the adversary's
+# ``receive_challenge`` in a trial, a scoring callback in the exact evaluator.
 
 
 def _check_ind(scheme: ClassicalScheme, template) -> None:
@@ -265,10 +254,8 @@ def _check_qind(scheme: ClassicalScheme, template) -> None:
 
 def _challenge_qind(scheme, key, template, b, r, rng, send) -> None:
     """Rebuild description b privately; only the ciphertext register leaves."""
-    m, ell = scheme.message_bits, scheme.ciphertext_bits
     plain = sample_description(template[b], rng)
-    u2 = type2_unitary(scheme, key, r)
-    send(u2.apply(append_wires(plain, ell - m), tuple(range(ell))))
+    send(encrypt_fresh_register(scheme, key, r, plain, tuple(range(scheme.message_bits)))[0])
 
 
 def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
@@ -281,7 +268,6 @@ def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
 
 def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng, send) -> None:
     """Measure out the unchosen register, encrypt the chosen one in place."""
-    m, ell = scheme.message_bits, scheme.ciphertext_bits
     keep = ch.message1_wires if b else ch.message0_wires
     drop = ch.message0_wires if b else ch.message1_wires
     # trace out the unchosen register: measure, discard the outcome, delete
@@ -296,11 +282,7 @@ def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng, send) -> None:
         for w in range(ch.state.num_wires)
         if w not in drop and w not in keep
     )
-    n = state.num_wires
-    state = append_wires(state, ell - m)
-    cipher_wires = message + tuple(range(n, n + ell - m))
-    u2 = type2_unitary(scheme, key, r)
-    state = u2.apply(state, cipher_wires)
+    state, cipher_wires = encrypt_fresh_register(scheme, key, r, state, message)
     send(GqindResponse(state, cipher_wires, private))
 
 

@@ -8,6 +8,10 @@ Two standard lifts, both computational-basis permutations:
   scheme's declared completion fixes phi, with phi(x || 0) = Enc_k(x; r), so
   the adjoint is the decryption oracle.
 
+The games meet the type-2 oracle only on a register joined to a fresh |0>
+ancilla, where it is the isometry |x, 0> -> |Enc_k(x; r)>;
+``encrypt_fresh_register`` applies that from Enc alone, with no completion.
+
 Lifts are stored as basis index tables, so applying one to a larger state
 costs O(2^n) regardless of operator size; dense matrices materialize on
 demand below the dense-operator cap. The interconversions build one lift
@@ -22,8 +26,8 @@ from typing import Any
 
 import numpy as np
 
-from .quantum_core import StateVector, UnitaryOperator
-from .quantum_core import _check_permutation, _permute_basis, _swap_basis
+from .quantum_core import StateVector, UnitaryOperator, _check_permutation, append_wires
+from .quantum_core import _check_wires, _flat_amplitudes, _owned_state, _register_view, _swap_basis
 from .schemes import ClassicalScheme
 
 
@@ -63,10 +67,12 @@ class EncryptionUnitary:
         return UnitaryOperator(self.num_wires, mat)
 
     def apply(self, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-        # the table was checked at construction: a permutation, and for
-        # type-1 kinds its own inverse
-        permute = _swap_basis if self.kind.startswith("type1") else _permute_basis
-        return permute(self.permutation, state, wires)
+        """Apply an XOR lift, whose table was checked to be its own inverse."""
+        if not self.kind.startswith("type1"):
+            raise ValueError(
+                f"apply takes XOR lifts; apply a {self.kind} table with apply_basis_permutation"
+            )
+        return _swap_basis(self.permutation, state, wires)
 
     def adjoint(self) -> EncryptionUnitary:
         return EncryptionUnitary(
@@ -105,6 +111,32 @@ def _check_randomness(scheme: ClassicalScheme, r: int) -> int:
     if not 0 <= r < 2**scheme.randomness_bits:
         raise ValueError(f"randomness {r} out of range for {scheme.randomness_bits} bits")
     return r
+
+
+def encrypt_fresh_register(
+    scheme: ClassicalScheme, key, r: int, state: StateVector, message_wires: tuple[int, ...]
+) -> tuple[StateVector, tuple[int, ...]]:
+    """Type-2 encryption of the message wires joined to a fresh |0> ancilla.
+
+    Appends ell - m ancilla wires and writes the amplitude of each |x, 0> at
+    index Enc_k(x; r) of the register [message wires | ancilla], read from
+    Enc's 2^m-entry table. Returns the state and that register's wires.
+    Raises ValueError for bad wires or an Enc not injective into ell bits.
+    """
+    r = _check_randomness(scheme, r)
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
+    enc = _enc_table(scheme, key, r)
+    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
+    if len(set(values)) != len(values) or min(values) < 0 or max(values) >= 2**ell:
+        raise ValueError(f"scheme {scheme.name}: Enc is not injective into {ell} bits")
+    n = state.num_wires
+    ext = append_wires(state, ell - m)
+    wires = tuple(message_wires) + tuple(range(n, ext.num_wires))
+    _check_wires(ext.num_wires, wires, ell)
+    block, plan = _register_view(ext, wires)
+    out = np.zeros_like(block)
+    out[:, enc] = block[:, :: 2 ** (ell - m)]
+    return _owned_state(ext.num_wires, _flat_amplitudes(out, plan)), wires
 
 
 def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:

@@ -365,18 +365,11 @@ def _table_view(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]):
     return _register_view(state, wires)
 
 
-def _permute_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-    """apply_basis_permutation for a table already checked to be a permutation."""
-    block, plan = _table_view(perm, state, wires)
-    out = np.empty_like(block)
-    out[:, perm] = block
-    return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
-
-
 def _swap_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-    """_permute_basis for a table already checked to be its own inverse: index i
-    reads perm^-1[i] = perm[i], one gather in place of the scatter, which is
-    slow on registers with many leading slices (14-wire fqind: (8, 2048, 1))."""
+    """apply_basis_permutation for a table already checked to be its own
+    inverse: index i reads perm^-1[i] = perm[i], one gather in place of the
+    scatter, which is slow on registers with many leading slices (14-wire
+    fqind: (8, 2048, 1))."""
     block, plan = _table_view(perm, state, wires)
     return _owned_state(state.num_wires, _flat_amplitudes(block.take(perm, axis=1), plan))
 
@@ -392,7 +385,11 @@ def apply_basis_permutation(
     the register's 2^k basis indices.
     """
     wires = tuple(wires)
-    return _permute_basis(_check_permutation(permutation, len(wires)), state, wires)
+    perm = _check_permutation(permutation, len(wires))
+    block, plan = _table_view(perm, state, wires)
+    out = np.empty_like(block)
+    out[:, perm] = block
+    return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
 
 
 def embed_unitary(

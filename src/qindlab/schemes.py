@@ -7,8 +7,10 @@ which is what lets the oracle layer build permutation tables in one shot.
 
 Each scheme may declare a type-2 completion: a keyed basis permutation phi on
 ell-bit strings, laid out as [x: m bits | y: ell-m bits], with
-phi(x || 0) = Enc_k(x; r). The completions shipped here are choices, not
-forced by the schemes themselves:
+phi(x || 0) = Enc_k(x; r). Completions serve the oracle layer's decryption
+(the adjoint) and interconversion circuits; the games only ever encrypt a
+fresh |x, 0> register, so they read Enc alone. The completions shipped here
+are choices, not forced by the schemes themselves:
 
 * prf scheme:   (x, y) -> (y^r) || (F_k(y^r) ^ x)
 * prp scheme:   (x, y) -> pi_k(x || (y^r))
@@ -58,15 +60,6 @@ class KeyedFunction:
 
 
 @dataclass(frozen=True)
-class CoreFunction:
-    """Accessors for the core f of a ciphertext split Enc_k(x; r) = r || f(k, r, x)."""
-
-    output_bits: int
-    f: Callable[[Any, Any, Any], Any]
-    f_inverse: Callable[[Any, Any, Any], Any]
-
-
-@dataclass(frozen=True)
 class ClassicalScheme:
     name: str
     message_bits: int
@@ -76,13 +69,14 @@ class ClassicalScheme:
     gen: Callable[[np.random.Generator], Any]
     enc: Callable[[Any, Any, Any], Any]
     dec: Callable[[Any, Any], Any]
-    core: CoreFunction | None = None
+    # width of the core f in a split Enc_k(x; r) = r || f(k, r, x); None if none
+    core_bits: int | None = None
     type2_completion: Callable[[Any, Any, Any], Any] | None = None
 
 
 def is_quasi_length_preserving(scheme: ClassicalScheme) -> bool:
     """True iff a core exists and its output is exactly message-length."""
-    return scheme.core is not None and scheme.core.output_bits == scheme.message_bits
+    return scheme.core_bits == scheme.message_bits
 
 
 # -- toy PRFs -----------------------------------------------------------------
@@ -264,24 +258,9 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
 
     def completion(key, r, z):
         arr = np.asarray(z)
-        # In place on two fresh arrays: a full-domain table is 2^ell entries.
-        # F is looked up before ``out`` is allocated: in a replay of the wide
-        # benchmark round, 14-wire gqind trials took about 160 minor page
-        # faults each with the other order and under 1 with this one.
-        rp = arr & t_mask
-        rp ^= r
-        f = prf(key, rp)
-        out = arr >> tau
-        out ^= f
-        rp <<= m
-        out |= rp
-        return _like(z, out)
+        rp = (arr & t_mask) ^ r
+        return _like(z, (rp << m) | (prf(key, rp) ^ (arr >> tau)))
 
-    core = CoreFunction(
-        output_bits=m,
-        f=lambda key, r, x: _like(x, prf(key, r) ^ np.asarray(x)),
-        f_inverse=lambda key, r, z: _like(z, prf(key, r) ^ np.asarray(z)),
-    )
     return ClassicalScheme(
         name=f"prf[m={m},tau={tau}]",
         message_bits=m,
@@ -291,7 +270,7 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
         gen=lambda rng: int(rng.integers(keys)),
         enc=enc,
         dec=dec,
-        core=core,
+        core_bits=m,
         type2_completion=completion,
     )
 
@@ -325,13 +304,6 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
         x, y = arr >> tau, arr & t_mask
         return _like(z, np.asarray(family.forward(key, (x << tau) | (y ^ r))))
 
-    core = None
-    if tau == 0:
-        core = CoreFunction(
-            output_bits=m,
-            f=lambda key, r, x: family.forward(key, x),
-            f_inverse=lambda key, r, z: family.inverse(key, z),
-        )
     return ClassicalScheme(
         name=f"prp[m={m},tau={tau},{family.name}]",
         message_bits=m,
@@ -341,7 +313,7 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
         gen=family.init,
         enc=enc,
         dec=dec,
-        core=core,
+        core_bits=m if tau == 0 else None,
         type2_completion=completion,
     )
 
@@ -401,6 +373,6 @@ def block_scheme(base: ClassicalScheme, mu: int) -> ClassicalScheme:
         gen=base.gen,
         enc=enc,
         dec=dec,
-        core=base.core if mu == 1 else None,
+        core_bits=base.core_bits if mu == 1 else None,
         type2_completion=completion,
     )

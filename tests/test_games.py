@@ -1,12 +1,12 @@
 """Game runners, learning oracles, and advantage estimation."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from qindlab import schemes
+from qindlab import attacks, games, oracles, schemes
 from qindlab.attacks import EntangledBlockProbe, bz_adversary, qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
@@ -27,7 +27,7 @@ from qindlab.games import (
     run_qind_qcpa,
     with_learning_queries,
 )
-from qindlab.quantum_core import state_from_bits
+from qindlab.quantum_core import state_from_bits, zero_state
 from qindlab.schemes import (
     block_scheme,
     constant_prf,
@@ -195,6 +195,32 @@ def test_type2_learning_query_checks_the_message_wire_count():
     with pytest.raises(GameSetupError, match="2 message wires"):
         oracle.query(state_from_bits("000"), (1,))
     assert oracle.query_count == 0
+
+
+@pytest.mark.parametrize(
+    "wires,match",
+    [((1, 1), "distinct"), ((0, 3), "distinct"), ((0, 5), "out of range"), ((-1, 0), "out of range")],
+)
+def test_type2_learning_query_refuses_repeated_and_out_of_range_wires(wires, match):
+    # a three-wire state gains the ancilla wires 3 and 4, so wire 3 is taken
+    oracle = Type2LearningOracle(prf_scheme(2, 2), 6, np.random.default_rng(4))
+    with pytest.raises(ValueError, match=match):
+        oracle.query(state_from_bits("000"), wires)
+
+
+def test_the_games_read_the_scheme_only_through_enc(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a game built a type-2 table")
+
+    for module in (oracles, games, attacks):
+        monkeypatch.setattr(module, "type2_unitary", refuse, raising=False)
+    scheme = replace(prf_scheme(2, 2), type2_completion=refuse)
+    rng = np.random.default_rng(8)
+    for runner in (run_qind_qcpa, run_gqind_qcpa):
+        assert runner(scheme, qlp_distinguisher(), rng).win
+    out, wires = Type2LearningOracle(scheme, 6, rng).query(zero_state(3), (2, 0))
+    assert out.num_wires == 5 and wires == (2, 0, 3, 4)
+    assert exact_advantage(scheme, qlp_distinguisher()).win_rate == pytest.approx(1.0)
 
 
 def test_with_learning_queries_pads_the_transcript():

@@ -1,10 +1,15 @@
 """Encryption oracle lifts: permutation tables, wiring, interconversion."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qindlab.oracles import (
     EncryptionUnitary,
+    encrypt_fresh_register,
     type1_decryption_unitary,
     type1_from_type2,
     type1_unitary,
@@ -12,12 +17,17 @@ from qindlab.oracles import (
     type2_unitary,
 )
 from qindlab.quantum_core import (
+    StateVector,
     append_wires,
+    apply_basis_permutation,
     apply_unitary,
     hadamard_all,
     zero_state,
 )
 from qindlab.schemes import (
+    ClassicalScheme,
+    block_scheme,
+    feistel_prp_family,
     identity_permutation_family,
     ideal_prp_family,
     prf_scheme,
@@ -218,3 +228,112 @@ def test_type1_from_type2_requires_a_type2_oracle():
     key = keys_for(scheme, 1)[0]
     with pytest.raises(ValueError):
         type1_from_type2(type1_unitary(scheme, key, 0))
+
+
+# -- type-2 encryption of a fresh register ---------------------------------------
+
+# two-bit messages, so every scheme fits every register layout below
+FRESH_SCHEMES = (
+    prf_scheme(2, 2),
+    prp_scheme(2, 2, ideal_prp_family(4)),
+    prp_scheme(2, 0, ideal_prp_family(2)),
+    prp_scheme(2, 2, feistel_prp_family(4)),
+    prp_scheme(2, 1, identity_permutation_family(3)),
+    block_scheme(prf_scheme(1, 1), 2),
+    block_scheme(prp_scheme(1, 1, ideal_prp_family(2)), 2),
+)
+
+# (wire count, message wires): contiguous, trailing, gapped and out of order,
+# with and without private wires
+FRESH_LAYOUTS = (
+    (2, (0, 1)),
+    (2, (1, 0)),
+    (3, (0, 1)),
+    (3, (1, 2)),
+    (3, (0, 2)),
+    (4, (3, 1)),
+    (5, (4, 0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme=st.sampled_from(FRESH_SCHEMES),
+    layout=st.sampled_from(FRESH_LAYOUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fresh_register_encryption_matches_the_type2_table(scheme, layout, seed):
+    n, message = layout
+    rng = np.random.default_rng(seed)
+    key = scheme.gen(rng)
+    r = int(rng.integers(2**scheme.randomness_bits))
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = StateVector(n, vec / np.linalg.norm(vec))
+    got, wires = encrypt_fresh_register(scheme, key, r, state, message)
+    anc = scheme.ciphertext_bits - scheme.message_bits
+    assert wires == message + tuple(range(n, n + anc))
+    table = type2_unitary(scheme, key, r).permutation
+    want = apply_basis_permutation(table, append_wires(state, anc), wires)
+    assert got.num_wires == want.num_wires
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def _hand_built(enc) -> ClassicalScheme:
+    """Two-bit messages, one bit of randomness, three-bit ciphertexts."""
+    return ClassicalScheme("hand-built", 2, 1, 3, 1, lambda rng: 0, enc, lambda key, y: y)
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [
+        lambda key, r, x: np.asarray(x) >> 1,  # collides
+        lambda key, r, x: np.asarray(x) + 6,  # leaves three bits
+        lambda key, r, x: np.asarray(x) - 1,  # negative: must not wrap as an index
+    ],
+    ids=["collides", "too-wide", "negative"],
+)
+def test_fresh_register_encryption_refuses_a_malformed_enc(enc):
+    with pytest.raises(ValueError, match="not injective into 3 bits"):
+        encrypt_fresh_register(_hand_built(enc), 0, 0, zero_state(2), (0, 1))
+
+
+def test_fresh_register_encryption_accepts_a_hand_built_injective_enc():
+    scheme = _hand_built(lambda key, r, x: (np.asarray(x) << 1) | r)
+    state, wires = encrypt_fresh_register(scheme, 0, 1, zero_state(3), (2, 1))
+    assert wires == (2, 1, 3)
+    # |0> on the private wire 0, ciphertext |001> on wires (2, 1, 3)
+    assert state.amplitudes[0b0001] == 1.0
+
+
+def test_fresh_register_encryption_refuses_bad_randomness():
+    with pytest.raises(ValueError, match="randomness 4 out of range"):
+        encrypt_fresh_register(prf_scheme(2, 2), 0, 4, zero_state(2), (0, 1))
+
+
+def test_apply_takes_xor_lifts_only():
+    scheme = prf_scheme(2, 2)
+    u2 = type2_unitary(scheme, 5, 1)
+    state = zero_state(4)
+    for lift in (u2, u2.adjoint()):
+        with pytest.raises(ValueError, match="apply_basis_permutation"):
+            lift.apply(state, (0, 1, 2, 3))
+    # the type-1 adjoint is the same involution and still applies
+    u1 = type1_unitary(scheme, 5, 1)
+    flat = zero_state(6)
+    assert np.array_equal(
+        u1.adjoint().apply(flat, tuple(range(6))).amplitudes,
+        u1.apply(flat, tuple(range(6))).amplitudes,
+    )
+
+
+def test_type2_unitary_needs_a_declared_completion():
+    scheme = replace(prf_scheme(1, 1), type2_completion=None)
+    with pytest.raises(ValueError, match="declares no type-2 completion"):
+        type2_unitary(scheme, 0, 0)
+
+
+def test_type2_unitary_refuses_a_completion_that_disagrees_with_enc():
+    # a cyclic shift is a permutation of the cipher space, but not Enc on |x, 0>
+    scheme = replace(prf_scheme(1, 1), type2_completion=lambda key, r, z: (np.asarray(z) + 1) % 4)
+    with pytest.raises(ValueError, match="completion disagrees with Enc on y=0 inputs"):
+        type2_unitary(scheme, 0, 0)

@@ -57,32 +57,34 @@ def test_prf_ciphertext_carries_randomness_prefix():
             assert c >> scheme.message_bits == r
 
 
-def test_prf_core_xors_the_message():
-    scheme = prf_scheme(2, 3)
-    key = scheme.gen(RNG)
-    core = scheme.core
-    assert core.output_bits == 2
-    for r in range(8):
-        for x in range(4):
-            y = core.f(key, r, x)
-            assert core.f_inverse(key, r, y) == x
-            # XOR structure: flipping the message flips the core output the same way
-            assert core.f(key, r, x ^ 3) == y ^ 3
+@pytest.mark.parametrize(
+    "scheme,qlp",
+    [
+        (prf_scheme(2, 3), True),
+        (prp_scheme(2, 0, ideal_prp_family(2)), True),
+        (prp_scheme(2, 1, ideal_prp_family(3)), False),
+        (block_scheme(prf_scheme(2, 1), 1), True),
+        (block_scheme(prp_scheme(1, 0, ideal_prp_family(1)), 2), False),
+    ],
+    ids=["prf", "prp-tau0", "prp-tau1", "block-mu1", "block-mu2"],
+)
+def test_quasi_length_preserving_enc_is_randomness_then_a_core_bijection(scheme, qlp):
+    assert is_quasi_length_preserving(scheme) == qlp == (scheme.core_bits == scheme.message_bits)
+    if not qlp:
+        return
+    m, tau = scheme.message_bits, scheme.randomness_bits
+    x = np.arange(2**m)
+    for key in {scheme.gen(np.random.default_rng(seed)) for seed in range(3)}:
+        for r in range(2**tau):
+            cipher = np.asarray(scheme.enc(key, r, x))
+            assert np.all(cipher >> m == r)
+            assert sorted((cipher & (2**m - 1)).tolist()) == x.tolist()
 
 
 def test_prp_with_randomness_has_no_core():
     scheme = prp_scheme(2, 1, ideal_prp_family(3))
-    assert scheme.core is None
+    assert scheme.core_bits is None
     assert not is_quasi_length_preserving(scheme)
-
-
-def test_prp_without_randomness_is_quasi_length_preserving():
-    scheme = prp_scheme(2, 0, ideal_prp_family(2))
-    assert is_quasi_length_preserving(scheme)
-    key = scheme.gen(RNG)
-    core = scheme.core
-    for x in range(4):
-        assert core.f(key, 0, x) == scheme.enc(key, 0, x)
 
 
 def test_prf_scheme_is_quasi_length_preserving():
@@ -91,7 +93,7 @@ def test_prf_scheme_is_quasi_length_preserving():
 
 def test_block_scheme_has_no_core():
     scheme = block_scheme(prp_scheme(1, 1, ideal_prp_family(2)), 2)
-    assert scheme.core is None
+    assert scheme.core_bits is None
 
 
 def test_ideal_family_is_deterministic_per_key():

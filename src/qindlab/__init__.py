@@ -61,6 +61,7 @@ from .oracles import (
     type1_unitary,
     type2_from_type1,
     type2_unitary,
+    xor_encrypt_register,
 )
 from .quantum_core import (
     CNOT,

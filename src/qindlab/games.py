@@ -37,7 +37,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .oracles import encrypt_fresh_register, type1_unitary
+from .oracles import encrypt_fresh_register, xor_encrypt_register
 from .quantum_core import (
     StateDescription,
     StateVector,
@@ -164,8 +164,12 @@ class Type1LearningOracle(_LearningOracle):
         message_wires: tuple[int, ...],
         response_wires: tuple[int, ...],
     ) -> StateVector:
-        u1 = type1_unitary(self._scheme, self._key, self._next_r())
-        return u1.apply(state, tuple(message_wires) + tuple(response_wires))
+        m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
+        if len(message_wires) != m or len(response_wires) != ell:
+            raise GameSetupError(f"type-1 query needs {m} message and {ell} response wires")
+        return xor_encrypt_register(
+            self._scheme, self._key, self._next_r(), state, message_wires, response_wires
+        )
 
 
 class Type2LearningOracle(_LearningOracle):
@@ -238,9 +242,8 @@ def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
 
 def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng, send) -> None:
     """XOR-encrypt register b in place and hand every register back."""
-    u1 = type1_unitary(scheme, key, r)
     message = ch.message1_wires if b else ch.message0_wires
-    state = u1.apply(ch.state, tuple(message) + tuple(ch.response_wires))
+    state = xor_encrypt_register(scheme, key, r, ch.state, message, ch.response_wires)
     send(FqindChallenge(state, ch.message0_wires, ch.message1_wires, ch.response_wires))
 
 

@@ -8,9 +8,9 @@ Two standard lifts, both computational-basis permutations:
   scheme's declared completion fixes phi, with phi(x || 0) = Enc_k(x; r), so
   the adjoint is the decryption oracle.
 
-The games meet the type-2 oracle only on a register joined to a fresh |0>
-ancilla, where it is the isometry |x, 0> -> |Enc_k(x; r)>;
-``encrypt_fresh_register`` applies that from Enc alone, with no completion.
+The games read a scheme only through Enc's 2^m-entry table: type-1 steps via
+``xor_encrypt_register``, whose XOR gather ``EncryptionUnitary.apply`` shares,
+and type-2 steps, which meet only |x, 0>, via ``encrypt_fresh_register``.
 
 Lifts are stored as basis index tables, so applying one to a larger state
 costs O(2^n) regardless of operator size; dense matrices materialize on
@@ -21,13 +21,14 @@ constructions by the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .quantum_core import StateVector, UnitaryOperator, _check_permutation, append_wires
-from .quantum_core import _check_wires, _flat_amplitudes, _owned_state, _register_view, _swap_basis
+from .quantum_core import StateVector, UnitaryOperator, _check_permutation, _check_wire_count
+from .quantum_core import _check_wires, _flat_amplitudes, _owned_state, _register_view
 from .schemes import ClassicalScheme
 
 
@@ -49,10 +50,9 @@ class EncryptionUnitary:
 
     def __post_init__(self) -> None:
         perm = _check_permutation(self.permutation, self.num_wires)
-        # an XOR lift |x, y> -> |x, y ^ f(x)> is its own inverse, so it is
-        # applied by a gather (``_swap_basis``); refuse a table that is not
-        if self.kind.startswith("type1") and not np.array_equal(perm[perm], np.arange(perm.size)):
-            raise ValueError(f"{self.kind} table is not its own inverse")
+        # the XOR gather applies type-1 tables: each must be an XOR lift
+        if self.kind.startswith("type1") and _xor_column(perm) is None:
+            raise ValueError(f"{self.kind} table is not an XOR lift |x, y> -> |x, y ^ f(x)>")
         perm.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
 
@@ -67,12 +67,15 @@ class EncryptionUnitary:
         return UnitaryOperator(self.num_wires, mat)
 
     def apply(self, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-        """Apply an XOR lift, whose table was checked to be its own inverse."""
+        """Apply an XOR lift through the games' gather, f its table's y = 0 column."""
         if not self.kind.startswith("type1"):
             raise ValueError(
                 f"apply takes XOR lifts; apply a {self.kind} table with apply_basis_permutation"
             )
-        return _swap_basis(self.permutation, state, wires)
+        wires = tuple(wires)
+        _check_wires(state.num_wires, wires, self.num_wires)
+        f, ell = _xor_column(self.permutation)
+        return _xor_gather(f, state, wires[: len(wires) - ell], wires[len(wires) - ell :])
 
     def adjoint(self) -> EncryptionUnitary:
         return EncryptionUnitary(
@@ -113,30 +116,90 @@ def _check_randomness(scheme: ClassicalScheme, r: int) -> int:
     return r
 
 
+def _xor_column(table: np.ndarray):
+    """(f, ell) with table[(x << ell) | y] = (x << ell) | (y ^ f[x]), f < 2^ell
+    its y = 0 column, the split read off the table; None if there is none."""
+    diff = table ^ np.arange(table.size)
+    ell = int(diff.max()).bit_length()
+    f = diff[:: 1 << ell]
+    return (f, ell) if (diff.reshape(f.size, -1) == f[:, None]).all() else None
+
+
+def _xor_gather(f: np.ndarray, state: StateVector, message_wires, response_wires) -> StateVector:
+    """|x, y> -> |x, y ^ f[x]> into one fresh array, no index above 2^(m + ell)
+    entries: one gather if the response run follows the message run, one per x
+    into output slices if a gap parts them, else one through a transposed copy."""
+    n, m, ell = state.num_wires, len(message_wires), len(response_wires)
+    _check_wires(n, message_wires + response_wires)
+    rows = np.arange(2**ell) ^ f[:, None]  # rows[x, y] = y ^ f[x]
+    first, second = (
+        w[0] if w and w == tuple(range(w[0], w[0] + len(w))) else None
+        for w in (message_wires, response_wires)
+    )
+    if first is None or second is None or second <= first + m:
+        rows |= (np.arange(2**m) << ell)[:, None]
+        block, plan = _register_view(state, message_wires + response_wires)
+        return _owned_state(n, _flat_amplitudes(block.take(rows.reshape(-1), axis=1), plan))
+    a = state.amplitudes.reshape(2**first, 2**m, 2 ** (second - first - m), 2**ell, -1)
+    out = np.empty_like(a)
+    for x, row in enumerate(rows):
+        np.take(a[:, x], row, axis=2, out=out[:, x], mode="clip")  # "raise" would buffer out
+    return _owned_state(n, out.reshape(-1))
+
+
+def xor_encrypt_register(
+    scheme: ClassicalScheme, key, r: int, state: StateVector, message_wires, response_wires
+) -> StateVector:
+    """Type-1 encryption |x, y> -> |x, y ^ Enc_k(x; r)> from Enc's 2^m-entry
+    table: any Enc into ell bits makes an XOR lift, so nothing more is checked.
+    Raises ValueError for bad wires or an Enc that leaves ell bits."""
+    enc, ell = _enc_table(scheme, key, _check_randomness(scheme, r)), scheme.ciphertext_bits
+    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
+    if min(values) < 0 or max(values) >= 2**ell:
+        raise ValueError(f"scheme {scheme.name}: Enc leaves {ell} bits")
+    message_wires, response_wires = tuple(message_wires), tuple(response_wires)
+    _check_wires(state.num_wires, message_wires, scheme.message_bits)
+    _check_wires(state.num_wires, response_wires, ell)
+    return _xor_gather(enc, state, message_wires, response_wires)
+
+
+@functools.lru_cache(maxsize=64)
+def _fresh_layout(n: int, wires: tuple[int, ...]):
+    """For ``encrypt_fresh_register``'s register ``wires``, ancilla from wire n
+    on: each input index's other wires in place on the output (rest), its
+    message value (x_of), and each ciphertext spread onto the register."""
+    k, m, i = len(wires), sum(w < n for w in wires), np.arange(2**n)
+    x_of = sum(((i >> (n - 1 - w)) & 1) << (m - 1 - j) for j, w in enumerate(wires[:m]))
+    rest = (i & ~sum(1 << (n - 1 - w) for w in wires[:m])) << (k - m)
+    c = np.arange(2**k)
+    deposit = sum(((c >> (k - 1 - j)) & 1) << (n + k - m - 1 - w) for j, w in enumerate(wires))
+    for table in (rest, x_of, deposit):
+        table.setflags(write=False)
+    return rest, x_of, deposit
+
+
 def encrypt_fresh_register(
     scheme: ClassicalScheme, key, r: int, state: StateVector, message_wires: tuple[int, ...]
 ) -> tuple[StateVector, tuple[int, ...]]:
     """Type-2 encryption of the message wires joined to a fresh |0> ancilla.
 
-    Appends ell - m ancilla wires and writes the amplitude of each |x, 0> at
-    index Enc_k(x; r) of the register [message wires | ancilla], read from
-    Enc's 2^m-entry table. Returns the state and that register's wires.
-    Raises ValueError for bad wires or an Enc not injective into ell bits.
+    Scatters each |x, 0> amplitude, from Enc's table, into one zeroed output at
+    index Enc_k(x; r) of the register [message wires | ell - m appended
+    ancilla wires], and returns it with that register's wires. Raises
+    ValueError for bad wires or an Enc not injective into ell bits.
     """
-    r = _check_randomness(scheme, r)
-    m, ell = scheme.message_bits, scheme.ciphertext_bits
-    enc = _enc_table(scheme, key, r)
+    enc, ell = _enc_table(scheme, key, _check_randomness(scheme, r)), scheme.ciphertext_bits
     values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
     if len(set(values)) != len(values) or min(values) < 0 or max(values) >= 2**ell:
         raise ValueError(f"scheme {scheme.name}: Enc is not injective into {ell} bits")
-    n = state.num_wires
-    ext = append_wires(state, ell - m)
-    wires = tuple(message_wires) + tuple(range(n, ext.num_wires))
-    _check_wires(ext.num_wires, wires, ell)
-    block, plan = _register_view(ext, wires)
-    out = np.zeros_like(block)
-    out[:, enc] = block[:, :: 2 ** (ell - m)]
-    return _owned_state(ext.num_wires, _flat_amplitudes(out, plan)), wires
+    n, total = state.num_wires, state.num_wires + ell - scheme.message_bits
+    _check_wire_count(total)
+    wires = tuple(message_wires) + tuple(range(n, total))
+    _check_wires(total, wires, ell)
+    rest, x_of, deposit = _fresh_layout(n, wires)
+    out = np.zeros(2**total, dtype=np.complex128)
+    out[deposit[enc][x_of] | rest] = state.amplitudes
+    return _owned_state(total, out), wires
 
 
 def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:

@@ -356,24 +356,6 @@ def _check_permutation(perm, num_wires: int) -> np.ndarray:
     return perm
 
 
-def _table_view(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]):
-    """``_register_view`` of the register a basis table of that length acts on."""
-    wires = tuple(wires)
-    if perm.shape != (2 ** len(wires),):
-        raise ValueError(f"permutation of length {perm.shape} does not fit {len(wires)} wires")
-    _check_wires(state.num_wires, wires)
-    return _register_view(state, wires)
-
-
-def _swap_basis(perm: np.ndarray, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-    """apply_basis_permutation for a table already checked to be its own
-    inverse: index i reads perm^-1[i] = perm[i], one gather in place of the
-    scatter, which is slow on registers with many leading slices (14-wire
-    fqind: (8, 2048, 1))."""
-    block, plan = _table_view(perm, state, wires)
-    return _owned_state(state.num_wires, _flat_amplitudes(block.take(perm, axis=1), plan))
-
-
 def apply_basis_permutation(
     permutation: np.ndarray, state: StateVector, wires: tuple[int, ...]
 ) -> StateVector:
@@ -386,7 +368,8 @@ def apply_basis_permutation(
     """
     wires = tuple(wires)
     perm = _check_permutation(permutation, len(wires))
-    block, plan = _table_view(perm, state, wires)
+    _check_wires(state.num_wires, wires)
+    block, plan = _register_view(state, wires)
     out = np.empty_like(block)
     out[:, perm] = block
     return _owned_state(state.num_wires, _flat_amplitudes(out, plan))

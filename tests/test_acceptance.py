@@ -2,15 +2,36 @@
 
 Run with -s (or read the captured output) to see the per-criterion summary.
 Details travel in the assertion message so a red criterion is diagnosable
-straight from the pytest report.
+straight from the pytest report. Each criterion's details must also match
+those of the saved ``qindlab suite --no-timing`` document, suite_results.json
+(floats within 1e-12, as for the golden documents), so the battery's numbers
+are pinned without running the suite a second time.
 """
 
-from qindlab import acceptance
+import json
+from pathlib import Path
+
+from test_golden import mismatches
+
+from qindlab import acceptance, cli
+
+SAVED = {
+    c["number"]: c
+    for c in json.loads((Path(__file__).parent / "suite_results.json").read_text())["results"][
+        "criteria"
+    ]
+}
 
 
 def check(result):
     print(result.line())
     assert result.passed, f"{result.line()} details={result.details}"
+    saved = SAVED[result.number]
+    assert result.name == saved["name"]
+    # the details as the CLI writes them
+    details = json.loads(json.dumps(result.details, default=cli._json_clean))
+    problems = mismatches(details, saved["details"])
+    assert not problems, problems
 
 
 def test_criterion_01_bz_rate():

@@ -1,12 +1,13 @@
 """Game runners, learning oracles, and advantage estimation."""
 
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from qindlab import attacks, games, oracles, schemes
+from qindlab import attacks, games, oracles, quantum_core, schemes
 from qindlab.attacks import EntangledBlockProbe, bz_adversary, qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
@@ -27,7 +28,7 @@ from qindlab.games import (
     run_qind_qcpa,
     with_learning_queries,
 )
-from qindlab.quantum_core import state_from_bits, zero_state
+from qindlab.quantum_core import StateVector, state_from_bits, zero_state
 from qindlab.schemes import (
     block_scheme,
     constant_prf,
@@ -176,6 +177,15 @@ def test_type1_learning_query_xors_the_ciphertext_into_the_response():
     assert oracle.query_count == 2**m
 
 
+def test_type1_learning_query_checks_both_wire_counts_before_drawing():
+    oracle = Type1LearningOracle(prf_scheme(2, 2), 6, np.random.default_rng(4))
+    for message, response in (((0,), (1, 2, 3, 4)), ((0, 1), (2, 3, 4))):
+        with pytest.raises(GameSetupError, match="2 message and 4 response wires"):
+            oracle.query(zero_state(5), message, response)
+    assert oracle.query_count == 0
+    assert oracle.randomness_used == []
+
+
 def test_type2_learning_query_encrypts_in_place():
     scheme = prf_scheme(2, 2)
     m, ell = scheme.message_bits, scheme.ciphertext_bits
@@ -210,10 +220,12 @@ def test_type2_learning_query_refuses_repeated_and_out_of_range_wires(wires, mat
 
 def test_the_games_read_the_scheme_only_through_enc(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a game built a type-2 table")
+        raise AssertionError("a game built a lift's table or applied one")
 
     for module in (oracles, games, attacks):
-        monkeypatch.setattr(module, "type2_unitary", refuse, raising=False)
+        for name in ("type1_unitary", "type2_unitary"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(oracles.EncryptionUnitary, "apply", refuse)
     scheme = replace(prf_scheme(2, 2), type2_completion=refuse)
     rng = np.random.default_rng(8)
     for runner in (run_qind_qcpa, run_gqind_qcpa):
@@ -221,6 +233,29 @@ def test_the_games_read_the_scheme_only_through_enc(monkeypatch):
     out, wires = Type2LearningOracle(scheme, 6, rng).query(zero_state(3), (2, 0))
     assert out.num_wires == 5 and wires == (2, 0, 3, 4)
     assert exact_advantage(scheme, qlp_distinguisher()).win_rate == pytest.approx(1.0)
+    # type-1: the fqind challenge, a learning query and bz's exact evaluator
+    run_fqind_qcpa(scheme, bz_adversary(), rng)
+    oracle = Type1LearningOracle(scheme, 6, rng)
+    assert oracle.query(zero_state(7), (6, 0), (1, 2, 3, 4)).num_wires == 7
+    want = float(attacks.bz_expected_win_rate(2))
+    assert bz_adversary().exact_win_probability(scheme, 6, 1) == pytest.approx(want)
+
+
+def test_apply_and_the_games_share_one_xor_gather(monkeypatch):
+    calls = []
+    gather = oracles._xor_gather
+
+    def counted(f, state, message_wires, response_wires):
+        calls.append((message_wires, response_wires))
+        return gather(f, state, message_wires, response_wires)
+
+    monkeypatch.setattr(oracles, "_xor_gather", counted)
+    scheme = prf_scheme(2, 2)
+    run_fqind_qcpa(scheme, bz_adversary(), np.random.default_rng(3), challenge_bit=0)
+    assert calls == [((0, 1), (4, 5, 6, 7))]
+    oracles.type1_unitary(scheme, 6, 1).apply(zero_state(6), tuple(range(6)))
+    assert len(calls) == 2
+    assert not hasattr(quantum_core, "_swap_basis")
 
 
 def test_with_learning_queries_pads_the_transcript():
@@ -406,3 +441,51 @@ def test_wide_games_keep_their_seeded_wins(game, scheme, strategy, wins):
 
     assert estimate_advantage(runner, scheme(), strategy(), 40, seed=12).wins == wins
     assert {o.challenge_bit for o in outcomes} == {0, 1}
+
+
+# -- memory of the encryption steps ---------------------------------------------
+
+
+def _traced_peak(step) -> int:
+    """Bytes the step holds at its peak beyond what it started with; a first
+    call warms every cache the step reads."""
+    step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_gapped_fqind_trials_peak_no_higher_than_contiguous_ones():
+    # 14 wires: the register is gapped at challenge bit 0, contiguous at 1
+    scheme, bz = prf_scheme(3, 5), bz_adversary()
+    peak = [
+        _traced_peak(
+            lambda: run_fqind_qcpa(scheme, bz, np.random.default_rng(5), key=3, challenge_bit=b)
+        )
+        for b in (0, 1)
+    ]
+    assert peak[0] <= 1.05 * peak[1], peak
+
+
+def test_encryption_steps_hold_their_output_and_one_index():
+    scheme = prf_scheme(3, 5)
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
+    rng = np.random.default_rng(2)
+    template = attacks._mask_template(m, ell)
+    vec = rng.normal(size=2**9) + 1j * rng.normal(size=2**9)
+    steps = [
+        lambda message=message: oracles.xor_encrypt_register(
+            scheme, 3, 1, template.state, message, template.response_wires
+        )
+        for message in (template.message0_wires, template.message1_wires)
+    ]
+    # nine wires, six of them private, gain five ancilla wires: 14 in all
+    plain = StateVector(9, vec / np.linalg.norm(vec))
+    steps.append(lambda: oracles.encrypt_fresh_register(scheme, 3, 1, plain, (8, 2, 5)))
+    output = 16 * 2**14
+    for step in steps:
+        assert _traced_peak(step) <= output + 8 * 2 ** (m + ell) + 4096

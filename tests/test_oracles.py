@@ -15,6 +15,7 @@ from qindlab.oracles import (
     type1_unitary,
     type2_from_type1,
     type2_unitary,
+    xor_encrypt_register,
 )
 from qindlab.quantum_core import (
     StateVector,
@@ -177,9 +178,16 @@ def test_type1_tables_must_be_their_own_inverse():
     # a 4-cycle is a permutation but not an involution: fine for type-2 only
     cycle = np.array([1, 2, 3, 0])
     assert EncryptionUnitary("type2", None, None, 0, 2, cycle).permutation.tolist() == [1, 2, 3, 0]
+    # swapping |01> and |10> is its own inverse, but XORs no function of
+    # leading bits into trailing ones; a type-1 table must be such an XOR lift
+    swap = np.array([0, 2, 1, 3])
     for kind in ("type1", "type1-dec"):
-        with pytest.raises(ValueError, match="own inverse"):
-            EncryptionUnitary(kind, None, None, 0, 2, cycle)
+        for table in (cycle, swap):
+            with pytest.raises(ValueError, match="not an XOR lift"):
+                EncryptionUnitary(kind, None, None, 0, 2, table)
+    # any XOR lift passes, whatever split its table has
+    for table in ([1, 0, 2, 3], [0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]):
+        assert EncryptionUnitary("type1", None, None, 0, 2, table).permutation.tolist() == table
 
 
 def test_operator_matrix_is_unitary():
@@ -303,6 +311,85 @@ def test_fresh_register_encryption_accepts_a_hand_built_injective_enc():
     assert wires == (2, 1, 3)
     # |0> on the private wire 0, ciphertext |001> on wires (2, 1, 3)
     assert state.amplitudes[0b0001] == 1.0
+
+
+# -- type-1 encryption of a message and a response register ----------------------
+
+# (wire count, message wires, response wires) for m message and ell response
+# wires: one contiguous run, the same inside private wires, the message after
+# the response, gapped either way round (one the fqind challenge at bit 0
+# meets) and a shuffle of every wire
+XOR_LAYOUTS = {
+    "contiguous": lambda m, ell, rng: (m + ell, range(m), range(m, m + ell)),
+    "private around": lambda m, ell, rng: (m + ell + 2, range(1, m + 1), range(m + 1, m + ell + 1)),
+    "message after response": lambda m, ell, rng: (m + ell, range(ell, ell + m), range(ell)),
+    "gapped": lambda m, ell, rng: (m + ell + 2, range(m), range(m + 2, m + ell + 2)),
+    "gapped, response first": lambda m, ell, rng: (
+        m + ell + 3, range(ell + 2, ell + m + 2), range(1, ell + 1)
+    ),
+    "shuffled": lambda m, ell, rng: (lambda p: (m + ell + 1, p[:m], p[m : m + ell]))(
+        [int(w) for w in rng.permutation(m + ell + 1)]
+    ),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    scheme=st.sampled_from(FRESH_SCHEMES),
+    layout=st.sampled_from(sorted(XOR_LAYOUTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_xor_register_encryption_matches_the_type1_table(scheme, layout, seed):
+    rng = np.random.default_rng(seed)
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
+    n, message, response = XOR_LAYOUTS[layout](m, ell, rng)
+    message, response = tuple(message), tuple(response)
+    key = scheme.gen(rng)
+    r = int(rng.integers(2**scheme.randomness_bits))
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = StateVector(n, vec / np.linalg.norm(vec))
+    got = xor_encrypt_register(scheme, key, r, state, message, response)
+    u1 = type1_unitary(scheme, key, r)
+    want = apply_basis_permutation(u1.permutation, state, message + response)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert np.array_equal(u1.apply(state, message + response).amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "enc",
+    [
+        lambda key, r, x: np.asarray(x) + 6,  # leaves three bits
+        lambda key, r, x: np.asarray(x) - 1,  # negative: must not wrap as an index
+    ],
+    ids=["too-wide", "negative"],
+)
+def test_xor_register_encryption_refuses_an_enc_outside_ell_bits(enc):
+    with pytest.raises(ValueError, match="Enc leaves 3 bits"):
+        xor_encrypt_register(_hand_built(enc), 0, 0, zero_state(5), (0, 1), (2, 3, 4))
+
+
+def test_xor_register_encryption_takes_a_colliding_enc():
+    # an XOR lift is a permutation whatever f is: Enc need not be injective
+    scheme = _hand_built(lambda key, r, x: np.asarray(x) >> 1)
+    state = StateVector(5, np.full(32, 32**-0.5))
+    got = xor_encrypt_register(scheme, 0, 1, state, (4, 0), (1, 3, 2))
+    want = apply_basis_permutation(type1_unitary(scheme, 0, 1).permutation, state, (4, 0, 1, 3, 2))
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "message,response,match",
+    [
+        ((0,), (1, 2, 3), "expected 2 wires, got 1"),
+        ((0, 1), (2, 3), "expected 3 wires, got 2"),
+        ((0, 1), (1, 2, 3), "distinct"),
+        ((0, 1), (2, 3, 5), "out of range"),
+    ],
+)
+def test_xor_register_encryption_refuses_bad_wires(message, response, match):
+    scheme = _hand_built(lambda key, r, x: np.asarray(x) << 1)
+    with pytest.raises(ValueError, match=match):
+        xor_encrypt_register(scheme, 0, 0, zero_state(5), message, response)
 
 
 def test_fresh_register_encryption_refuses_bad_randomness():

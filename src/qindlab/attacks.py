@@ -175,15 +175,10 @@ class HadamardTest(AdversaryStrategy):
         tested = self.tested_wires(scheme)
         template = self.template(scheme, self.exact_game)
         challenge = GAME_STEPS[self.exact_game][2]
-        p: list[float] = []
-
-        def score(response) -> None:
-            _, _, weights = _outcome_weights(*_hadamard_test(response, tested))
-            p.append(float(weights[0]))  # all tested wires measure zero
-
-        for b in (0, 1):
-            challenge(scheme, key, template, b, r, None, score)
-        return 0.5 * (p[0] + 1.0 - p[1])
+        responses = (challenge(scheme, key, template, b, r, None) for b in (0, 1))
+        # per challenge bit, the weight of every tested wire measuring zero
+        p0, p1 = (float(_outcome_weights(*_hadamard_test(x, tested))[2][0]) for x in responses)
+        return 0.5 * (p0 + 1.0 - p1)
 
 
 # -- superposition-mask attack (fqind) ------------------------------------------

@@ -77,13 +77,6 @@ class QuantumChannel:
     def out_dim(self) -> int:
         return 2**self.output_wires
 
-    @property
-    def weights(self) -> np.ndarray:
-        if self.injections is None:
-            return np.ones(1)
-        k = len(self.injections)
-        return np.full(k, 1.0 / k)
-
     @cached_property
     def _closed_form_images(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact and ideal channels: the images of |s><s| and of |s><t|, s != t."""

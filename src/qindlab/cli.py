@@ -269,10 +269,11 @@ def cmd_secure(cfg: dict) -> tuple[dict, int]:
         raise UsageError(f"{name} requires {'/'.join(strategy.games)}")
     strategy = games.with_learning_queries(strategy, cfg["q"])
     seed = _resolve_seed(cfg, required=True)
+    taken_count = cfg["q"] * cfg["mu"] * 2 ** cfg["m"]
+    # a saturated taken set has no bound: refuse before playing any trial
+    per_block = channels.corollary_bound(cfg["m"], cfg["tau"], taken_count)
     runner = games.GAME_RUNNERS[game]
     estimate = games.estimate_advantage(runner, scheme, strategy, cfg["trials"], seed)
-    taken_count = cfg["q"] * cfg["mu"] * 2 ** cfg["m"]
-    per_block = channels.corollary_bound(cfg["m"], cfg["tau"], taken_count)
     effective = cfg["mu"] * per_block
     ci_half_width = 2.0 * estimate.half_width
     within = abs(estimate.advantage) <= effective + ci_half_width

@@ -37,7 +37,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .oracles import encrypt_fresh_register, xor_encrypt_register
+from .oracles import _check_randomness, encrypt_fresh_register, xor_encrypt_register
 from .quantum_core import (
     StateDescription,
     StateVector,
@@ -198,9 +198,10 @@ def _challenge_randomness(
 ) -> int:
     if forced is None:
         return _fresh_randomness(scheme, rng)
-    if not 0 <= int(forced) < 2**scheme.randomness_bits:
-        raise GameSetupError(f"randomness {forced} out of range")
-    return int(forced)
+    try:
+        return _check_randomness(scheme, forced)
+    except ValueError as exc:
+        raise GameSetupError(str(exc)) from None
 
 
 def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what: str) -> None:
@@ -215,8 +216,8 @@ def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what:
 # -- per-game challenge steps ---------------------------------------------------
 # A check validates the adversary's template. A challenge step builds the
 # response from (scheme, key, template, b, r, rng), may draw from rng only
-# after b and r are fixed, and hands the response to ``send``: the adversary's
-# ``receive_challenge`` in a trial, a scoring callback in the exact evaluator.
+# after b and r are fixed, and returns it: a trial hands it to the adversary's
+# ``receive_challenge``, the exact evaluator scores it.
 
 
 def _check_ind(scheme: ClassicalScheme, template) -> None:
@@ -226,8 +227,8 @@ def _check_ind(scheme: ClassicalScheme, template) -> None:
             raise GameSetupError(f"challenge plaintext {x} out of range")
 
 
-def _challenge_ind(scheme, key, template, b, r, rng, send) -> None:
-    send(int(scheme.enc(key, r, int(template[b]))))
+def _challenge_ind(scheme, key, template, b, r, rng) -> int:
+    return int(scheme.enc(key, r, int(template[b])))
 
 
 def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
@@ -240,11 +241,11 @@ def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
         raise GameSetupError("challenge registers must be disjoint")
 
 
-def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng, send) -> None:
+def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng) -> FqindChallenge:
     """XOR-encrypt register b in place and hand every register back."""
     message = ch.message1_wires if b else ch.message0_wires
     state = xor_encrypt_register(scheme, key, r, ch.state, message, ch.response_wires)
-    send(FqindChallenge(state, ch.message0_wires, ch.message1_wires, ch.response_wires))
+    return FqindChallenge(state, ch.message0_wires, ch.message1_wires, ch.response_wires)
 
 
 def _check_qind(scheme: ClassicalScheme, template) -> None:
@@ -255,10 +256,10 @@ def _check_qind(scheme: ClassicalScheme, template) -> None:
             raise GameSetupError(f"challenge descriptions must cover exactly {m} wires")
 
 
-def _challenge_qind(scheme, key, template, b, r, rng, send) -> None:
+def _challenge_qind(scheme, key, template, b, r, rng) -> StateVector:
     """Rebuild description b privately; only the ciphertext register leaves."""
     plain = sample_description(template[b], rng)
-    send(encrypt_fresh_register(scheme, key, r, plain, tuple(range(scheme.message_bits)))[0])
+    return encrypt_fresh_register(scheme, key, r, plain, tuple(range(scheme.message_bits)))[0]
 
 
 def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
@@ -269,7 +270,7 @@ def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
         raise GameSetupError("message registers must be disjoint")
 
 
-def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng, send) -> None:
+def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindResponse:
     """Measure out the unchosen register, encrypt the chosen one in place."""
     keep = ch.message1_wires if b else ch.message0_wires
     drop = ch.message0_wires if b else ch.message1_wires
@@ -286,7 +287,7 @@ def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng, send) -> None:
         if w not in drop and w not in keep
     )
     state, cipher_wires = encrypt_fresh_register(scheme, key, r, state, message)
-    send(GqindResponse(state, cipher_wires, private))
+    return GqindResponse(state, cipher_wires, private)
 
 
 # game -> (learning oracle, template check, challenge step)
@@ -325,7 +326,7 @@ def _play(
     check(scheme, template)
     b = _challenge_bit(rng, challenge_bit)
     r = _challenge_randomness(scheme, rng, challenge_randomness)
-    challenge(scheme, key, template, b, r, rng, adv.receive_challenge)
+    adv.receive_challenge(challenge(scheme, key, template, b, r, rng))
     g = int(adv.final_guess())
     if g not in (0, 1):
         raise GameSetupError(f"guess must be 0 or 1, got {g}")

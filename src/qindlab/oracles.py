@@ -9,8 +9,9 @@ Two standard lifts, both computational-basis permutations:
   the adjoint is the decryption oracle.
 
 The games read a scheme only through Enc's 2^m-entry table: type-1 steps via
-``xor_encrypt_register``, whose XOR gather ``EncryptionUnitary.apply`` shares,
-and type-2 steps, which meet only |x, 0>, via ``encrypt_fresh_register``.
+``xor_encrypt_register`` and type-2 steps, which meet only |x, 0>, via
+``encrypt_fresh_register``. ``EncryptionUnitary.apply`` applies any lift's
+table through ``apply_basis_permutation``.
 
 Lifts are stored as basis index tables, so applying one to a larger state
 costs O(2^n) regardless of operator size; dense matrices materialize on
@@ -22,6 +23,7 @@ constructions by the test suite.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,6 +31,7 @@ import numpy as np
 
 from .quantum_core import StateVector, UnitaryOperator, _check_permutation, _check_wire_count
 from .quantum_core import _check_wires, _flat_amplitudes, _owned_state, _register_view
+from .quantum_core import apply_basis_permutation
 from .schemes import ClassicalScheme
 
 
@@ -50,8 +53,8 @@ class EncryptionUnitary:
 
     def __post_init__(self) -> None:
         perm = _check_permutation(self.permutation, self.num_wires)
-        # the XOR gather applies type-1 tables: each must be an XOR lift
-        if self.kind.startswith("type1") and _xor_column(perm) is None:
+        # type2_from_type1 reads type-1 tables as XOR lifts
+        if self.kind.startswith("type1") and not _is_xor_lift(perm):
             raise ValueError(f"{self.kind} table is not an XOR lift |x, y> -> |x, y ^ f(x)>")
         perm.setflags(write=False)
         object.__setattr__(self, "permutation", perm)
@@ -67,15 +70,8 @@ class EncryptionUnitary:
         return UnitaryOperator(self.num_wires, mat)
 
     def apply(self, state: StateVector, wires: tuple[int, ...]) -> StateVector:
-        """Apply an XOR lift through the games' gather, f its table's y = 0 column."""
-        if not self.kind.startswith("type1"):
-            raise ValueError(
-                f"apply takes XOR lifts; apply a {self.kind} table with apply_basis_permutation"
-            )
-        wires = tuple(wires)
-        _check_wires(state.num_wires, wires, self.num_wires)
-        f, ell = _xor_column(self.permutation)
-        return _xor_gather(f, state, wires[: len(wires) - ell], wires[len(wires) - ell :])
+        """The lift on the listed wires; wires[j] carries the table's wire j."""
+        return apply_basis_permutation(self.permutation, state, wires)
 
     def adjoint(self) -> EncryptionUnitary:
         return EncryptionUnitary(
@@ -109,29 +105,52 @@ def _enc_table(scheme: ClassicalScheme, key, r) -> np.ndarray:
     return np.asarray(scheme.enc(key, r, np.arange(2**scheme.message_bits)), dtype=np.int64)
 
 
-def _check_randomness(scheme: ClassicalScheme, r: int) -> int:
-    r = int(r)
+def _check_randomness(scheme: ClassicalScheme, r) -> int:
+    try:
+        r = operator.index(r)  # numpy integers pass; 1.5 must not truncate to 1
+    except TypeError:
+        raise ValueError(f"randomness {r!r} is not an integer") from None
     if not 0 <= r < 2**scheme.randomness_bits:
         raise ValueError(f"randomness {r} out of range for {scheme.randomness_bits} bits")
     return r
 
 
-def _xor_column(table: np.ndarray):
-    """(f, ell) with table[(x << ell) | y] = (x << ell) | (y ^ f[x]), f < 2^ell
-    its y = 0 column, the split read off the table; None if there is none."""
+def _is_xor_lift(table: np.ndarray) -> bool:
+    """Whether table[(x << ell) | y] = (x << ell) | (y ^ f[x]) for some split
+    ell and f < 2^ell; the least such ell is the bit length of the largest move."""
     diff = table ^ np.arange(table.size)
-    ell = int(diff.max()).bit_length()
-    f = diff[:: 1 << ell]
-    return (f, ell) if (diff.reshape(f.size, -1) == f[:, None]).all() else None
+    block = 1 << int(diff.max()).bit_length()
+    return bool((diff.reshape(-1, block) == diff[::block, None]).all())
 
 
-def _xor_gather(f: np.ndarray, state: StateVector, message_wires, response_wires) -> StateVector:
-    """|x, y> -> |x, y ^ f[x]> into one fresh array, no index above 2^(m + ell)
-    entries: one gather if the response run follows the message run, one per x
-    into output slices if a gap parts them, else one through a transposed copy."""
-    n, m, ell = state.num_wires, len(message_wires), len(response_wires)
+def _xor_lift(f: np.ndarray, ell: int) -> np.ndarray:
+    """The table of |x, y> -> |x, y ^ f[x]> on [x | ell-bit y]."""
+    x, y = np.divmod(np.arange(f.size << ell), 1 << ell)
+    return (x << ell) | (y ^ f[x])
+
+
+def xor_encrypt_register(
+    scheme: ClassicalScheme, key, r: int, state: StateVector, message_wires, response_wires
+) -> StateVector:
+    """Type-1 encryption |x, y> -> |x, y ^ Enc_k(x; r)> from Enc's 2^m-entry
+    table: any Enc into ell bits makes an XOR lift, so nothing more is checked.
+    Raises ValueError for bad wires or an Enc that leaves ell bits.
+
+    Writes one fresh array and builds no index above 2^(m + ell) entries: one
+    gather if the response run follows the message run, one per x into output
+    slices if a gap parts them, else one through a transposed copy.
+    """
+    enc, ell = _enc_table(scheme, key, _check_randomness(scheme, r)), scheme.ciphertext_bits
+    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
+    if min(values) < 0 or max(values) >= 2**ell:
+        raise ValueError(f"scheme {scheme.name}: Enc leaves {ell} bits")
+    message_wires, response_wires = tuple(message_wires), tuple(response_wires)
+    n, m = state.num_wires, scheme.message_bits
+    for wires, want in ((message_wires, m), (response_wires, ell)):
+        if len(wires) != want:
+            raise ValueError(f"expected {want} wires, got {len(wires)}")
     _check_wires(n, message_wires + response_wires)
-    rows = np.arange(2**ell) ^ f[:, None]  # rows[x, y] = y ^ f[x]
+    rows = np.arange(2**ell) ^ enc[:, None]  # rows[x, y] = y ^ Enc(x)
     first, second = (
         w[0] if w and w == tuple(range(w[0], w[0] + len(w))) else None
         for w in (message_wires, response_wires)
@@ -145,22 +164,6 @@ def _xor_gather(f: np.ndarray, state: StateVector, message_wires, response_wires
     for x, row in enumerate(rows):
         np.take(a[:, x], row, axis=2, out=out[:, x], mode="clip")  # "raise" would buffer out
     return _owned_state(n, out.reshape(-1))
-
-
-def xor_encrypt_register(
-    scheme: ClassicalScheme, key, r: int, state: StateVector, message_wires, response_wires
-) -> StateVector:
-    """Type-1 encryption |x, y> -> |x, y ^ Enc_k(x; r)> from Enc's 2^m-entry
-    table: any Enc into ell bits makes an XOR lift, so nothing more is checked.
-    Raises ValueError for bad wires or an Enc that leaves ell bits."""
-    enc, ell = _enc_table(scheme, key, _check_randomness(scheme, r)), scheme.ciphertext_bits
-    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
-    if min(values) < 0 or max(values) >= 2**ell:
-        raise ValueError(f"scheme {scheme.name}: Enc leaves {ell} bits")
-    message_wires, response_wires = tuple(message_wires), tuple(response_wires)
-    _check_wires(state.num_wires, message_wires, scheme.message_bits)
-    _check_wires(state.num_wires, response_wires, ell)
-    return _xor_gather(enc, state, message_wires, response_wires)
 
 
 @functools.lru_cache(maxsize=64)
@@ -206,10 +209,8 @@ def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:
     """XOR-register lift of Enc_k(.; r) on message + ciphertext wires."""
     r = _check_randomness(scheme, r)
     m, ell = scheme.message_bits, scheme.ciphertext_bits
-    i = np.arange(2 ** (m + ell))
-    x, y = i >> ell, i & ((1 << ell) - 1)
-    enc = _enc_table(scheme, key, r)
-    return EncryptionUnitary("type1", scheme, key, r, m + ell, (x << ell) | (y ^ enc[x]))
+    table = _xor_lift(_enc_table(scheme, key, r), ell)
+    return EncryptionUnitary("type1", scheme, key, r, m + ell, table)
 
 
 def type1_decryption_unitary(scheme: ClassicalScheme, key) -> EncryptionUnitary:
@@ -218,10 +219,8 @@ def type1_decryption_unitary(scheme: ClassicalScheme, key) -> EncryptionUnitary:
     Decryption takes no randomness, so the oracle carries randomness 0.
     """
     m, ell = scheme.message_bits, scheme.ciphertext_bits
-    i = np.arange(2 ** (ell + m))
-    y, w = i >> m, i & ((1 << m) - 1)
     dec = np.asarray(scheme.dec(key, np.arange(2**ell)), dtype=np.int64)
-    return EncryptionUnitary("type1-dec", scheme, key, 0, ell + m, (y << m) | (w ^ dec[y]))
+    return EncryptionUnitary("type1-dec", scheme, key, 0, ell + m, _xor_lift(dec, m))
 
 
 def type2_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:
@@ -246,25 +245,17 @@ def type1_from_type2(u2: EncryptionUnitary) -> EncryptionUnitary:
 
     Circuit: encrypt in place into [plaintext | fresh ancilla], CNOT-copy the
     ciphertext register transversally onto the output register, then undo the
-    in-place encryption with the adjoint. The ancilla provably returns to |0>
-    on every basis input, so the result lives on m + ell wires; it must equal
-    type1_unitary for the same (scheme, key, randomness).
+    in-place encryption with the adjoint. The adjoint inverts the first step
+    exactly, so the ancilla returns to |0> on every basis input and the result
+    is the XOR lift of the type-2 action on |x, 0>, on m + ell wires; it must
+    equal type1_unitary for the same (scheme, key, randomness).
     """
     if u2.kind != "type2" or u2.workspace_wires:
         raise ValueError("type1_from_type2 needs a direct type-2 oracle")
     scheme = u2.scheme
     m, ell = scheme.message_bits, scheme.ciphertext_bits
-    anc = ell - m
-    inv = np.argsort(u2.permutation)
-    i = np.arange(2 ** (m + ell))
-    x, y = i >> ell, i & ((1 << ell) - 1)
-    cipher = u2.permutation[x << anc]
-    back = inv[cipher]
-    if np.any(back != (x << anc)):
-        raise ValueError("type-2 adjoint failed to restore the plaintext register")
-    return EncryptionUnitary(
-        "type1", scheme, u2.key, u2.randomness, m + ell, (x << ell) | (y ^ cipher)
-    )
+    table = _xor_lift(u2.type2_action_table(), ell)
+    return EncryptionUnitary("type1", scheme, u2.key, u2.randomness, m + ell, table)
 
 
 def type2_from_type1(u1_enc: EncryptionUnitary, u1_dec: EncryptionUnitary) -> EncryptionUnitary:

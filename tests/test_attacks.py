@@ -220,16 +220,13 @@ def test_description_attacks_score_gqind_as_qind():
         for key in keys_for(scheme, 2):
             for r in range(2):
                 zero = []
-
-                def score(response):
+                for b in (0, 1):
+                    response = gqind(scheme, key, template, b, r, np.random.default_rng([key, r, b]))
                     wires = tuple(response.ciphertext_wires[i] for i in tested)
                     state = apply_unitary(hadamard_all(len(wires)), response.state, wires)
                     amps = state.amplitudes.reshape((2,) * state.num_wires)
                     index = tuple(0 if w in wires else slice(None) for w in range(state.num_wires))
                     zero.append(float(np.sum(np.abs(amps[index]) ** 2)))
-
-                for b in (0, 1):
-                    gqind(scheme, key, template, b, r, np.random.default_rng([key, r, b]), score)
                 assert 0.5 * (zero[0] + 1.0 - zero[1]) == pytest.approx(
                     attack.exact_win_probability(scheme, key, r), abs=1e-12
                 )

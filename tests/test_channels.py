@@ -229,13 +229,6 @@ def test_pair_action_validates_input_range():
         ch.pair_action(0, 2)
 
 
-def test_channel_weights_sum_to_one():
-    ch = avg_permutation_channel(1, 2, n_perm=64, rng=np.random.default_rng(2))
-    assert float(np.sum(ch.weights)) == pytest.approx(1.0)
-    assert ch.injections.shape == (64, 2)
-    assert avg_permutation_channel(1, 2).weights.tolist() == [1.0]
-
-
 @pytest.mark.parametrize(
     "m, tau, taken, n_perm",
     [
@@ -288,7 +281,10 @@ def test_sampled_injections_keep_the_per_row_draws(m, tau, taken, n_perm):
     ch = avg_permutation_channel(m, tau, taken, n_perm=n_perm, rng=rng)
     free = np.array(sorted(set(range(2 ** (m + tau))) - set(taken)), dtype=np.int64)
     want = np.stack([ref.permutation(free)[: 2**m] for _ in range(n_perm)])
+    assert ch.injections.shape == (n_perm, 2**m)
     assert np.array_equal(ch.injections, want)
+    # only a sampled mixture holds injections
+    assert avg_permutation_channel(m, tau, taken).injections is None
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -184,6 +184,20 @@ def test_secure_adversary_game_mismatch_exits_2(capsys):
     assert "requires" in err
 
 
+def test_secure_refuses_a_saturated_taken_set_before_any_trial(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("played trials for a bound that does not exist")
+
+    monkeypatch.setattr(cli.games, "estimate_advantage", refuse)
+    code, _, err = run_cli(
+        capsys,
+        ["secure", "--scheme", "prp", "--m", "2", "--tau", "1", "--q", "5",
+         "--trials", "3000", "--seed", "1"],
+    )
+    assert code == 2
+    assert "taken set saturates" in err
+
+
 def test_equiv_reports_per_key_agreement(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -514,3 +528,23 @@ def test_module_entry_point_matches_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["satisfied"] is True
+
+
+def test_readme_quick_tour_prints_what_it_promises():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    import_root = str(Path(qindlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (import_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    bz, qlp, certificate = proc.stdout.splitlines()
+    assert float(bz) == pytest.approx(0.875, abs=1e-12)
+    assert float(qlp.split()[0]) == pytest.approx(1.0, abs=1e-12)
+    distance, bound, satisfied = certificate.split()
+    assert float(distance) == pytest.approx(0.25, abs=1e-12)
+    assert float(bound) == pytest.approx(2.0, abs=1e-12)
+    assert satisfied == "True"

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from qindlab import attacks, games, oracles, quantum_core, schemes
+from qindlab import attacks, games, oracles, schemes
 from qindlab.attacks import EntangledBlockProbe, bz_adversary, qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
@@ -93,13 +93,17 @@ def test_random_guesser_has_negligible_advantage():
 
 
 def test_constant_guesser_wins_exactly_the_matching_bit():
-    scheme = prf_scheme(1, 1)
+    # in every game: each game's checks accept the guessers' templates, and
+    # no guesser queries the oracle
+    scheme = prf_scheme(2, 1)
     rng = np.random.default_rng(3)
-    for bit in (0, 1):
-        out = run_qind_qcpa(scheme, ConstantGuesser(bit), rng, challenge_bit=bit)
-        assert out.win
-        out = run_qind_qcpa(scheme, ConstantGuesser(bit), rng, challenge_bit=1 - bit)
-        assert not out.win
+    for game, runner in GAME_RUNNERS.items():
+        for b in (0, 1):
+            for bit in (0, 1):
+                out = runner(scheme, ConstantGuesser(bit), rng, challenge_bit=b)
+                assert (out.game, out.guess, out.win, out.query_count) == (game, bit, bit == b, 0)
+            out = runner(scheme, RandomGuesser(), rng, challenge_bit=b)
+            assert out.challenge_bit == b and out.guess in (0, 1) and out.query_count == 0
 
 
 def test_hoeffding_half_width_formula():
@@ -241,23 +245,6 @@ def test_the_games_read_the_scheme_only_through_enc(monkeypatch):
     assert bz_adversary().exact_win_probability(scheme, 6, 1) == pytest.approx(want)
 
 
-def test_apply_and_the_games_share_one_xor_gather(monkeypatch):
-    calls = []
-    gather = oracles._xor_gather
-
-    def counted(f, state, message_wires, response_wires):
-        calls.append((message_wires, response_wires))
-        return gather(f, state, message_wires, response_wires)
-
-    monkeypatch.setattr(oracles, "_xor_gather", counted)
-    scheme = prf_scheme(2, 2)
-    run_fqind_qcpa(scheme, bz_adversary(), np.random.default_rng(3), challenge_bit=0)
-    assert calls == [((0, 1), (4, 5, 6, 7))]
-    oracles.type1_unitary(scheme, 6, 1).apply(zero_state(6), tuple(range(6)))
-    assert len(calls) == 2
-    assert not hasattr(quantum_core, "_swap_basis")
-
-
 def test_with_learning_queries_pads_the_transcript():
     scheme = prf_scheme(2, 2)
     base = qlp_distinguisher()
@@ -299,6 +286,16 @@ def test_forced_challenge_arguments_are_honored():
         run_qind_qcpa(
             scheme, RandomGuesser(), np.random.default_rng(5), challenge_randomness=4
         )
+
+
+@pytest.mark.parametrize("r", [1.5, np.float64(1.0), "1"])
+def test_forced_randomness_must_be_an_integer(r):
+    # 1.5 was played as r = 1; numpy integers still pass, recorded as int
+    scheme, guesser = prf_scheme(2, 2), RandomGuesser()
+    with pytest.raises(GameSetupError, match="is not an integer"):
+        run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_randomness=r)
+    out = run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_randomness=np.int64(3))
+    assert out.randomness_used[-1] == 3 and type(out.randomness_used[-1]) is int
 
 
 def test_fqind_game_runs_and_relays_all_registers():

@@ -397,20 +397,43 @@ def test_fresh_register_encryption_refuses_bad_randomness():
         encrypt_fresh_register(prf_scheme(2, 2), 0, 4, zero_state(2), (0, 1))
 
 
-def test_apply_takes_xor_lifts_only():
+@pytest.mark.parametrize("layout", ["contiguous", "shuffled"])
+def test_apply_is_apply_basis_permutation(layout):
+    scheme = prp_scheme(2, 1, ideal_prp_family(3))
+    key = keys_for(scheme, 1)[0]
+    u1, u2 = type1_unitary(scheme, key, 1), type2_unitary(scheme, key, 1)
+    u1_dec = type1_decryption_unitary(scheme, key)
+    lifts = (u1, u1.adjoint(), u1_dec, u2, u2.adjoint(), type2_from_type1(u1, u1_dec))
+    kinds = ["type1", "type1-adjoint", "type1-dec", "type2", "type2-adjoint", "type2"]
+    assert [u.kind for u in lifts] == kinds
+    rng = np.random.default_rng(12)
+    for u in lifts:
+        n = u.num_wires + 1
+        shuffled = tuple(int(w) for w in rng.permutation(n)[1:])
+        wires = tuple(range(1, n)) if layout == "contiguous" else shuffled
+        vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(n, vec / np.linalg.norm(vec))
+        want = apply_basis_permutation(u.permutation, state, wires)
+        assert np.array_equal(u.apply(state, wires).amplitudes, want.amplitudes)
+
+
+@pytest.mark.parametrize("r", [1.5, np.float64(1.0), "1", None])
+def test_encryption_steps_refuse_non_integer_randomness(r):
     scheme = prf_scheme(2, 2)
-    u2 = type2_unitary(scheme, 5, 1)
-    state = zero_state(4)
-    for lift in (u2, u2.adjoint()):
-        with pytest.raises(ValueError, match="apply_basis_permutation"):
-            lift.apply(state, (0, 1, 2, 3))
-    # the type-1 adjoint is the same involution and still applies
-    u1 = type1_unitary(scheme, 5, 1)
-    flat = zero_state(6)
-    assert np.array_equal(
-        u1.adjoint().apply(flat, tuple(range(6))).amplitudes,
-        u1.apply(flat, tuple(range(6))).amplitudes,
-    )
+    with pytest.raises(ValueError, match="is not an integer"):
+        xor_encrypt_register(scheme, 0, r, zero_state(6), (0, 1), (2, 3, 4, 5))
+    with pytest.raises(ValueError, match="is not an integer"):
+        encrypt_fresh_register(scheme, 0, r, zero_state(2), (0, 1))
+
+
+def test_encryption_steps_take_numpy_integer_randomness():
+    scheme, state = prf_scheme(2, 2), StateVector(6, np.full(64, 0.125))
+    for r in (np.int64(3), np.uint8(3)):
+        for step in (
+            lambda r: xor_encrypt_register(scheme, 6, r, state, (0, 1), (2, 3, 4, 5)),
+            lambda r: encrypt_fresh_register(scheme, 6, r, state, (4, 1))[0],
+        ):
+            assert np.array_equal(step(r).amplitudes, step(3).amplitudes)
 
 
 def test_type2_unitary_needs_a_declared_completion():

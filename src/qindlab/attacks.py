@@ -2,7 +2,10 @@
 
 Every attack here is a Hadamard test: it prepares a challenge, applies
 Hadamards to some wires of the response, measures them and guesses 0 iff
-they all read zero. An attack declares only its data:
+they all read zero. Only that outcome's weight p0 matters, and row 0 of H^k
+is 2^(-k/2) (1, ..., 1), so p0 = ||sum_x psi(x, .)||^2 / 2^k, a sum along
+the tested register x of the response; no H^k is built or applied. An
+attack declares only its data:
 
 * its challenge template: fqind registers, or two pure qind state
   descriptions (its gqind template is their product state);
@@ -10,7 +13,7 @@ they all read zero. An attack declares only its data:
   register 1 for fqind, the ciphertext register for qind and gqind);
 * the scheme check it makes before a trial, which also fixes those positions.
 
-HadamardTest plays and scores them all: one trial class answers the
+HadamardTest plays and scores them all from p0: one trial class answers the
 templates of the attack's games, and one exact evaluator replays the game's
 own challenge step for both challenge bits, with no sampling anywhere.
 
@@ -61,8 +64,7 @@ from .quantum_core import (
     StateDescription,
     StateVector,
     X,
-    _measure_block,
-    _outcome_weights,
+    _register_view,
     apply_unitary,
     hadamard_all,
     run_gates,
@@ -71,11 +73,12 @@ from .quantum_core import (
 from .schemes import ClassicalScheme, is_quasi_length_preserving
 
 
-def _hadamard_test(response, tested: tuple[int, ...]) -> tuple[StateVector, tuple[int, ...]]:
-    """Hadamards on the tested positions of the response register.
-
-    Returns the new state and the absolute wires tested.
-    """
+def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
+    """(p0, total): the weight of every tested position of the response
+    register reading 0 after Hadamards, as a register sum, and the
+    response's squared norm."""
+    if not tested:
+        raise ValueError("a Hadamard test needs at least one tested wire")
     if isinstance(response, FqindChallenge):
         state, register = response.state, response.message1_wires
     elif isinstance(response, GqindResponse):
@@ -83,7 +86,8 @@ def _hadamard_test(response, tested: tuple[int, ...]) -> tuple[StateVector, tupl
     else:
         state, register = response, range(response.num_wires)
     wires = tuple(register[i] for i in tested)
-    return apply_unitary(hadamard_all(len(wires)), state, wires), wires
+    rest, amps = _register_view(state, wires)[0].sum(axis=1), state.amplitudes
+    return np.vdot(rest, rest).real / 2 ** len(wires), np.vdot(amps, amps).real
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,9 +125,9 @@ class _HadamardTrial:
         return lambda: self._attack.template(self._scheme, game)
 
     def receive_challenge(self, response) -> None:
-        # only the outcome matters: draw it without building the collapsed state
-        outcome = _measure_block(*_hadamard_test(response, self._tested), self._rng)[0]
-        self._guess = int(outcome != 0)
+        # measuring the tested wires draws 0 iff one uniform is below p0 / total
+        p0, total = _zero_weight(response, self._tested)
+        self._guess = int(self._rng.random() >= p0 / total)
 
     def final_guess(self) -> int:
         assert self._guess is not None
@@ -131,7 +135,8 @@ class _HadamardTrial:
 
 
 class HadamardTest(AdversaryStrategy):
-    """An attack given by its template, its tested wires and its scheme check.
+    """An attack given by its template, its tested wires and its scheme check,
+    scored by p0 = ||sum_x psi(x, .)||^2 / 2^k over its k tested wires x.
 
     Subclasses define ``tested_wires`` and either ``descriptions`` (a pure
     qind pair, whose product state is the gqind template) or ``template``.
@@ -177,7 +182,7 @@ class HadamardTest(AdversaryStrategy):
         challenge = GAME_STEPS[self.exact_game][2]
         responses = (challenge(scheme, key, template, b, r, None) for b in (0, 1))
         # per challenge bit, the weight of every tested wire measuring zero
-        p0, p1 = (float(_outcome_weights(*_hadamard_test(x, tested))[2][0]) for x in responses)
+        p0, p1 = (float(_zero_weight(x, tested)[0]) for x in responses)
         return 0.5 * (p0 + 1.0 - p1)
 
 

@@ -129,6 +129,15 @@ def apply_channel_bipartite(
     channel: QuantumChannel, rho: DensityMatrix, ref_wires: int
 ) -> DensityMatrix:
     """Apply (identity on the leading ref wires) tensor (channel on the rest)."""
+    return DensityMatrix(ref_wires + channel.output_wires, _channel_image(channel, rho, ref_wires))
+
+
+def _channel_image(channel: QuantumChannel, rho: DensityMatrix, ref_wires: int) -> np.ndarray:
+    """The bare matrix apply_channel_bipartite validates and wraps.
+
+    The image of a valid state is a mixture of valid states by construction,
+    so callers that only read the matrix skip the validation's temporaries.
+    """
     if ref_wires < 0:
         raise ValueError(f"ref_wires must be >= 0, got {ref_wires}")
     if rho.num_wires != ref_wires + channel.input_wires:
@@ -141,10 +150,7 @@ def apply_channel_bipartite(
     # row (a, b) holds the reference block's entries rho[a s, b t] by pair (s, t)
     pairs = rho.matrix.reshape(r, d, r, d).transpose(0, 2, 1, 3).reshape(r * r, d * d)
     images = (pairs @ channel.pair_table).reshape(r, r, n, n)
-    return DensityMatrix(
-        ref_wires + channel.output_wires,
-        images.transpose(0, 2, 1, 3).reshape(r * n, r * n),
-    )
+    return images.transpose(0, 2, 1, 3).reshape(r * n, r * n)
 
 
 def _free_set(message_bits: int, tau: int, taken) -> np.ndarray:
@@ -314,9 +320,8 @@ def _certify(
         norm = 2.0 * probe_exact
         if n_perm is not None or (i == 0 and message_bits == 1):
             rho = probe.to_density()
-            delta = (
-                apply_channel_bipartite(enc, rho, message_bits).matrix
-                - apply_channel_bipartite(ideal, rho, message_bits).matrix
+            delta = _channel_image(enc, rho, message_bits) - _channel_image(
+                ideal, rho, message_bits
             )
             if n_perm is not None:
                 # the sampled channel's own witness

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qindlab.attacks import (
     ATTACKS,
     EntangledBlockProbe,
     HadamardBitProbe,
+    _zero_weight,
     bz_adversary,
     bz_expected_win_rate,
     hadamard_bit_distinguisher,
@@ -17,7 +20,9 @@ from qindlab.attacks import (
 from qindlab.games import (
     GAME_RUNNERS,
     GAME_STEPS,
+    FqindChallenge,
     GameSetupError,
+    GqindResponse,
     RandomGuesser,
     estimate_advantage,
     hoeffding_half_width,
@@ -25,7 +30,14 @@ from qindlab.games import (
     run_gqind_qcpa,
     run_qind_qcpa,
 )
-from qindlab.quantum_core import apply_unitary, hadamard_all, run_gates
+from qindlab.quantum_core import (
+    StateVector,
+    _measure_block,
+    _outcome_weights,
+    apply_unitary,
+    hadamard_all,
+    run_gates,
+)
 from qindlab.schemes import (
     block_scheme,
     identity_permutation_family,
@@ -263,3 +275,87 @@ def test_trials_share_one_unchanged_template(monkeypatch):
         for state, amplitudes in zip(states, before):
             assert not state.amplitudes.flags.writeable
             assert np.array_equal(state.amplitudes, amplitudes)
+
+
+# -- the Hadamard test's all-zero weight as a register sum -----------------------
+
+
+@st.composite
+def hadamard_responses(draw, max_wires=8):
+    """(response, tested, wires): a random state as each response kind, the
+    tested wires contiguous in order, gapped or shuffled; ``wires`` are the
+    absolute wires the tested positions name."""
+    n = draw(st.integers(1, max_wires))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - k))
+        wires = tuple(range(start, start + k))
+    else:
+        wires = tuple(draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    # a norm off 1 by up to 4e-10, as the state's own validation allows
+    norm = 1.0 + draw(st.floats(-4e-10, 4e-10))
+    state = StateVector(n, norm * vec / np.linalg.norm(vec))
+    kind = draw(st.sampled_from(("state", "fqind", "gqind")))
+    if kind == "state":
+        return state, wires, wires
+    # the response register lists every wire in some order
+    register = tuple(draw(st.permutations(range(n))))
+    tested = tuple(register.index(w) for w in wires)
+    if kind == "fqind":
+        return FqindChallenge(state, (), register, ()), tested, wires
+    return GqindResponse(state, register, ()), tested, wires
+
+
+@given(hadamard_responses())
+@settings(max_examples=150, deadline=None)
+def test_zero_weight_matches_the_hadamard_measurement(case):
+    response, tested, wires = case
+    state = response if isinstance(response, StateVector) else response.state
+    dense = apply_unitary(hadamard_all(len(wires)), state, wires)
+    p0, total = _zero_weight(response, tested)
+    assert abs(p0 - _outcome_weights(dense, wires)[2][0]) <= 1e-12
+    assert abs(total - np.vdot(state.amplitudes, state.amplitudes).real) <= 1e-12
+
+
+def test_zero_weight_refuses_an_empty_register():
+    with pytest.raises(ValueError):
+        _zero_weight(run_gates(2, ()), ())
+
+
+def test_trial_guess_is_the_measured_outcome():
+    """The trial's one uniform against p0 / total guesses what measuring the
+    Hadamard-rotated wires draws, and leaves the Generator where it does."""
+    cases = (
+        (bz_adversary(), "fqind", prf_scheme(2, 2)),
+        (qlp_distinguisher(force=True), "gqind", prp_scheme(2, 2, ideal_prp_family(4))),
+        (hadamard_bit_distinguisher(1), "qind", prp_scheme(2, 1, ideal_prp_family(3))),
+        (EntangledBlockProbe(2), "gqind", block_scheme(prp_scheme(1, 1, ideal_prp_family(2)), 2)),
+    )
+    for attack, game, scheme in cases:
+        tested = attack.tested_wires(scheme)
+        template = attack.template(scheme, game)
+        challenge = GAME_STEPS[game][2]
+        guesses = set()
+        for seed in range(60):
+            step = np.random.default_rng([seed, 1])
+            key, b = scheme.gen(step), seed % 2
+            r = int(step.integers(2**scheme.randomness_bits))
+            response = challenge(scheme, key, template, b, r, step)
+            drawn, measured = np.random.default_rng(seed), np.random.default_rng(seed)
+            trial = attack.start(scheme, drawn)
+            trial.receive_challenge(response)
+            if isinstance(response, FqindChallenge):
+                state, register = response.state, response.message1_wires
+            elif isinstance(response, GqindResponse):
+                state, register = response.state, response.ciphertext_wires
+            else:
+                state, register = response, range(response.num_wires)
+            wires = tuple(register[i] for i in tested)
+            rotated = apply_unitary(hadamard_all(len(wires)), state, wires)
+            outcome = _measure_block(rotated, wires, measured)[0]
+            assert trial.final_guess() == int(outcome != 0)
+            assert drawn.bit_generator.state == measured.bit_generator.state
+            guesses.add(trial.final_guess())
+        assert guesses == {0, 1}, attack.name

@@ -9,6 +9,7 @@ import pytest
 
 from qindlab.channels import (
     BoundReport,
+    _channel_image,
     apply_channel_bipartite,
     avg_permutation_channel,
     certify_corollary_bound,
@@ -286,6 +287,24 @@ def test_sampled_injections_keep_the_per_row_draws(m, tau, taken, n_perm):
     # only a sampled mixture holds injections
     assert avg_permutation_channel(m, tau, taken).injections is None
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("m, tau, taken", [(1, 0, ()), (1, 2, (5,)), (2, 1, ()), (2, 2, (3, 9))])
+def test_bare_channel_image_is_the_validated_output(m, tau, taken):
+    """Certificates read the unvalidated image; it is the public output bit for
+    bit, and it passes the public validation."""
+    rng = np.random.default_rng(23)
+    channels = (
+        avg_permutation_channel(m, tau, taken),
+        constant_mixed_channel(m, tau, taken),
+        avg_permutation_channel(m, tau, taken, n_perm=30, rng=rng),
+    )
+    probes = (maximally_entangled(m), random_pure_bipartite(m, m, rng))
+    for ch, probe, ref in itertools.product(channels, probes, (0, m)):
+        rho = probe.to_density() if ref else partial_trace(probe.to_density(), tuple(range(m)))
+        bare = _channel_image(ch, rho, ref)
+        assert np.array_equal(bare, apply_channel_bipartite(ch, rho, ref).matrix)
+        DensityMatrix(ref + ch.output_wires, bare)
 
 
 def test_pair_action_is_a_row_of_the_pair_table():

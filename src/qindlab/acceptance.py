@@ -40,211 +40,199 @@ def _distinct_keys(scheme: schemes.ClassicalScheme, count: int, seed: int) -> li
     return games.distinct_keys(scheme, count, np.random.default_rng([0xACC, seed]))
 
 
-def _timed(number: int, name: str, body: Callable[[dict], bool], limit: float | None) -> CriterionResult:
-    details: dict = {}
-    start = time.perf_counter()
-    try:
-        passed = body(details)
-    except Exception as exc:  # a crash is a failure with the reason recorded
-        details["error"] = f"{type(exc).__name__}: {exc}"
-        passed = False
-    elapsed = time.perf_counter() - start
-    if limit is not None:
-        details["runtime_limit_seconds"] = limit
-        if elapsed >= limit:
-            details["runtime_exceeded"] = True
-            passed = False
-    return CriterionResult(number, name, bool(passed), elapsed, details)
+def _criterion(number: int, name: str, limit: float | None = None):
+    """Make ``body(details) -> bool`` criterion ``number``.
+
+    The decorated criterion takes no arguments and returns its CriterionResult:
+    the body fills ``details`` and returns its verdict. A body that raises
+    fails with the reason recorded, and with a ``limit`` (seconds) a run that
+    reaches it fails too.
+    """
+
+    def decorate(body: Callable[[dict], bool]) -> Callable[[], CriterionResult]:
+        def criterion() -> CriterionResult:
+            details: dict = {}
+            start = time.perf_counter()
+            try:
+                passed = body(details)
+            except Exception as exc:  # a crash is a failure with the reason recorded
+                details["error"] = f"{type(exc).__name__}: {exc}"
+                passed = False
+            elapsed = time.perf_counter() - start
+            if limit is not None:
+                details["runtime_limit_seconds"] = limit
+                if elapsed >= limit:
+                    details["runtime_exceeded"] = True
+                    passed = False
+            return CriterionResult(number, name, bool(passed), elapsed, details)
+
+        criterion.__name__ = criterion.__qualname__ = body.__name__
+        criterion.__doc__ = body.__doc__
+        return criterion
+
+    return decorate
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "bz exact rate and sampled confirmation", limit=10.0)
+def criterion_1(details: dict) -> bool:
     """Superposition-mask attack: exact rate 1 - 2^-(m+1), sampled confirmation."""
-
-    def body(details: dict) -> bool:
-        ok = True
-        worst = 0.0
-        bz = attacks.bz_adversary()
-        for m in (1, 2, 3, 4):
-            scheme = schemes.prf_scheme(m, 2)
-            target = 1.0 - 2.0 ** -(m + 1)
-            for key in _distinct_keys(scheme, 2, seed=m):
-                for r in (0, 3):
-                    err = abs(bz.exact_win_probability(scheme, key, r) - target)
-                    worst = max(worst, err)
-        ok &= worst <= EXACT_ATOL
-        details["max_exact_error"] = worst
-        est = games.estimate_advantage(
-            games.run_fqind_qcpa,
-            schemes.prf_scheme(3, 2),
-            bz,
-            trials=10_000,
-            seed=1001,
-        )
-        details["sampled_win_rate_m3"] = est.win_rate
-        details["sampled_target"] = 0.9375
-        ok &= abs(est.win_rate - 0.9375) <= 0.015
-        return ok
-
-    return _timed(1, "bz exact rate and sampled confirmation", body, limit=10.0)
+    ok = True
+    worst = 0.0
+    bz = attacks.bz_adversary()
+    for m in (1, 2, 3, 4):
+        scheme = schemes.prf_scheme(m, 2)
+        target = 1.0 - 2.0 ** -(m + 1)
+        for key in _distinct_keys(scheme, 2, seed=m):
+            for r in (0, 3):
+                err = abs(bz.exact_win_probability(scheme, key, r) - target)
+                worst = max(worst, err)
+    ok &= worst <= EXACT_ATOL
+    details["max_exact_error"] = worst
+    est = games.estimate_advantage(
+        games.run_fqind_qcpa,
+        schemes.prf_scheme(3, 2),
+        bz,
+        trials=10_000,
+        seed=1001,
+    )
+    details["sampled_win_rate_m3"] = est.win_rate
+    details["sampled_target"] = 0.9375
+    ok &= abs(est.win_rate - 0.9375) <= 0.015
+    return ok
 
 
-def _forced_sweep(strategy: games.AdversaryStrategy, cases) -> Callable[[dict], bool]:
-    """Criterion body: play qind with every (key, r, b) forced; all must win.
+def _forced_sweep(details: dict, strategy: games.AdversaryStrategy, cases) -> bool:
+    """Play qind with every (key, r, b) forced; all must win.
 
     cases: (m, key seed, trial rng tag) per prf scheme at tau = 2.
     """
-
-    def body(details: dict) -> bool:
-        trials = 0
-        wins = 0
-        worst = 1.0
-        for m, key_seed, tag in cases:
-            scheme = schemes.prf_scheme(m, 2)
-            for key in _distinct_keys(scheme, 8, seed=key_seed):
-                for r in range(4):
-                    worst = min(worst, strategy.exact_win_probability(scheme, key, r))
-                    for b in (0, 1):
-                        out = games.run_qind_qcpa(
-                            scheme,
-                            strategy,
-                            np.random.default_rng([tag, int(key) & 0xFFFFFFFF, r, b]),
-                            key=key,
-                            challenge_bit=b,
-                            challenge_randomness=r,
-                        )
-                        trials += 1
-                        wins += out.win
-        details["forced_trials"] = trials
-        details["forced_wins"] = wins
-        details["min_exact_probability"] = worst
-        return wins == trials and worst >= 1.0 - 1e-12
-
-    return body
+    trials = 0
+    wins = 0
+    worst = 1.0
+    for m, key_seed, tag in cases:
+        scheme = schemes.prf_scheme(m, 2)
+        for key in _distinct_keys(scheme, 8, seed=key_seed):
+            for r in range(4):
+                worst = min(worst, strategy.exact_win_probability(scheme, key, r))
+                for b in (0, 1):
+                    out = games.run_qind_qcpa(
+                        scheme,
+                        strategy,
+                        np.random.default_rng([tag, int(key) & 0xFFFFFFFF, r, b]),
+                        key=key,
+                        challenge_bit=b,
+                        challenge_randomness=r,
+                    )
+                    trials += 1
+                    wins += out.win
+    details["forced_trials"] = trials
+    details["forced_wins"] = wins
+    details["min_exact_probability"] = worst
+    return wins == trials and worst >= 1.0 - 1e-12
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "qlp wins every trial vs prf", limit=30.0)
+def criterion_2(details: dict) -> bool:
     """Core-interference attack wins every trial against the prf scheme."""
-    body = _forced_sweep(attacks.qlp_distinguisher(), [(m, 10 + m, m) for m in (1, 2, 3)])
-    return _timed(2, "qlp wins every trial vs prf", body, limit=30.0)
+    return _forced_sweep(details, attacks.qlp_distinguisher(), [(m, 10 + m, m) for m in (1, 2, 3)])
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "hadamard-bit perfect at m=1")
+def criterion_3(details: dict) -> bool:
     """Single-wire probe is perfect at one-bit messages."""
-    body = _forced_sweep(attacks.hadamard_bit_distinguisher(), [(1, 3, 3)])
-    return _timed(3, "hadamard-bit perfect at m=1", body, limit=None)
+    return _forced_sweep(details, attacks.hadamard_bit_distinguisher(), [(1, 3, 3)])
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "chi_C spectrum (3c, -c, -c, -c), c = 1/12")
+def criterion_4(details: dict) -> bool:
     """Exhaustive averaged channel at m=1, tau=1: coherence-block spectrum."""
-
-    def body(details: dict) -> bool:
-        rep = channels.certify_lemma_bound(1, 1, samples=1)
-        n = 4
-        c = 1.0 / (n * (n - 1))
-        expected = sorted([c * (n - 1), -c, -c, -c])
-        got = sorted(rep.chi_c_eigenvalues)
-        eig_err = max(abs(a - b) for a, b in zip(got, expected))
-        norm_err = abs(rep.chi_c_trace_norm - 2.0 ** (-1 - 1 + 1))
-        me_err = abs(rep.max_trace_distance - 0.25)
-        details["chi_c_eigenvalues"] = [round(e, 14) for e in got]
-        details["eigenvalue_error"] = eig_err
-        details["chi_c_trace_norm"] = rep.chi_c_trace_norm
-        details["trace_norm_error"] = norm_err
-        details["me_input_trace_distance"] = rep.max_trace_distance
-        return eig_err <= EXACT_ATOL and norm_err <= EXACT_ATOL and me_err <= EXACT_ATOL
-
-    return _timed(4, "chi_C spectrum (3c, -c, -c, -c), c = 1/12", body, limit=None)
+    rep = channels.certify_lemma_bound(1, 1, samples=1)
+    n = 4
+    c = 1.0 / (n * (n - 1))
+    expected = sorted([c * (n - 1), -c, -c, -c])
+    got = sorted(rep.chi_c_eigenvalues)
+    eig_err = max(abs(a - b) for a, b in zip(got, expected))
+    norm_err = abs(rep.chi_c_trace_norm - 2.0 ** (-1 - 1 + 1))
+    me_err = abs(rep.max_trace_distance - 0.25)
+    details["chi_c_eigenvalues"] = [round(e, 14) for e in got]
+    details["eigenvalue_error"] = eig_err
+    details["chi_c_trace_norm"] = rep.chi_c_trace_norm
+    details["trace_norm_error"] = norm_err
+    details["me_input_trace_distance"] = rep.max_trace_distance
+    return eig_err <= EXACT_ATOL and norm_err <= EXACT_ATOL and me_err <= EXACT_ATOL
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "lemma bound 2^(2-tau) holds on sampled channel", limit=60.0)
+def criterion_5(details: dict) -> bool:
     """Sampled-channel bound at m=1, tau=3 over 500 purified inputs."""
-
-    def body(details: dict) -> bool:
-        rep = channels.certify_lemma_bound(1, 3, samples=500, n_perm=5000, seed=505)
-        details["bound"] = rep.bound
-        details["max_trace_distance"] = rep.max_trace_distance
-        details["margin"] = rep.margin
-        details["worst_input"] = rep.worst_input
-        return rep.satisfied and rep.max_trace_distance <= rep.bound + 1e-12 and rep.bound == 0.5
-
-    return _timed(5, "lemma bound 2^(2-tau) holds on sampled channel", body, limit=60.0)
+    rep = channels.certify_lemma_bound(1, 3, samples=500, n_perm=5000, seed=505)
+    details["bound"] = rep.bound
+    details["max_trace_distance"] = rep.max_trace_distance
+    details["margin"] = rep.margin
+    details["worst_input"] = rep.worst_input
+    return rep.satisfied and rep.max_trace_distance <= rep.bound + 1e-12 and rep.bound == 0.5
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "corollary bound with taken outputs")
+def criterion_6(details: dict) -> bool:
     """Taken-set bound holds; the empty taken set reproduces criterion 5."""
+    taken = (3, 6, 9, 12)
+    rep = channels.certify_corollary_bound(1, 3, taken, samples=500, n_perm=5000, seed=606)
+    details["bound"] = rep.bound
+    details["expected_bound"] = 4.0 / (2.0**3 - len(taken) / 2.0)
+    details["max_trace_distance"] = rep.max_trace_distance
+    ok = (
+        rep.satisfied
+        and rep.max_trace_distance <= rep.bound + 1e-12
+        and abs(rep.bound - details["expected_bound"]) <= EXACT_ATOL
+    )
 
-    def body(details: dict) -> bool:
-        taken = (3, 6, 9, 12)
-        rep = channels.certify_corollary_bound(
-            1, 3, taken, samples=500, n_perm=5000, seed=606
-        )
-        details["bound"] = rep.bound
-        details["expected_bound"] = 4.0 / (2.0**3 - len(taken) / 2.0)
-        details["max_trace_distance"] = rep.max_trace_distance
-        ok = (
-            rep.satisfied
-            and rep.max_trace_distance <= rep.bound + 1e-12
-            and abs(rep.bound - details["expected_bound"]) <= EXACT_ATOL
-        )
-
-        a = channels.certify_lemma_bound(1, 3, samples=200, n_perm=2000, seed=707)
-        b = channels.certify_corollary_bound(1, 3, (), samples=200, n_perm=2000, seed=707)
-        details["empty_taken_matches_lemma"] = (
-            a.max_trace_distance == b.max_trace_distance and a.bound == b.bound
-        )
-        return ok and details["empty_taken_matches_lemma"]
-
-    return _timed(6, "corollary bound with taken outputs", body, limit=None)
+    a = channels.certify_lemma_bound(1, 3, samples=200, n_perm=2000, seed=707)
+    b = channels.certify_corollary_bound(1, 3, (), samples=200, n_perm=2000, seed=707)
+    details["empty_taken_matches_lemma"] = (
+        a.max_trace_distance == b.max_trace_distance and a.bound == b.bound
+    )
+    return ok and details["empty_taken_matches_lemma"]
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "prp scheme within corollary bound (q=2)")
+def criterion_7(details: dict) -> bool:
     """Ideal-permutation scheme at m=2, tau=4 resists every shipped adversary."""
-
-    def body(details: dict) -> bool:
-        m, tau, q = 2, 4, 2
-        scheme = schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
-        taken_count = q * 1 * 2**m
-        bound = channels.corollary_bound(m, tau, taken_count)
-        details["corollary_bound"] = bound
-        details["taken_count"] = taken_count
-        ok = True
-        for label, strategy in (
-            ("qlp-forced", attacks.qlp_distinguisher(force=True)),
-            ("hadamard-bit", attacks.hadamard_bit_distinguisher()),
-            ("random", games.RandomGuesser()),
-        ):
-            wrapped = games.with_learning_queries(strategy, q)
-            est = games.estimate_advantage(
-                games.run_qind_qcpa, scheme, wrapped, trials=5000, seed=777
-            )
-            threshold = bound + 2.0 * est.half_width
-            details[f"advantage_{label}"] = est.advantage
-            details[f"threshold_{label}"] = threshold
-            ok &= abs(est.advantage) <= threshold
-        return ok
-
-    return _timed(7, "prp scheme within corollary bound (q=2)", body, limit=None)
-
-
-def criterion_8() -> CriterionResult:
-    """Two-block scheme resists an entangled cross-block challenge."""
-
-    def body(details: dict) -> bool:
-        m, tau, mu = 2, 4, 2
-        base = schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
-        scheme = schemes.block_scheme(base, mu)
-        probe = attacks.EntangledBlockProbe(mu)
-        est = games.estimate_advantage(
-            games.run_gqind_qcpa, scheme, probe, trials=5000, seed=888
-        )
-        bound = mu * channels.corollary_bound(m, tau, 0)
+    m, tau, q = 2, 4, 2
+    scheme = schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
+    taken_count = q * 1 * 2**m
+    bound = channels.corollary_bound(m, tau, taken_count)
+    details["corollary_bound"] = bound
+    details["taken_count"] = taken_count
+    ok = True
+    for label, strategy in (
+        ("qlp-forced", attacks.qlp_distinguisher(force=True)),
+        ("hadamard-bit", attacks.hadamard_bit_distinguisher()),
+        ("random", games.RandomGuesser()),
+    ):
+        wrapped = games.with_learning_queries(strategy, q)
+        est = games.estimate_advantage(games.run_qind_qcpa, scheme, wrapped, trials=5000, seed=777)
         threshold = bound + 2.0 * est.half_width
-        details["advantage"] = est.advantage
-        details["mu_times_bound"] = bound
-        details["threshold"] = threshold
-        return abs(est.advantage) <= threshold
+        details[f"advantage_{label}"] = est.advantage
+        details[f"threshold_{label}"] = threshold
+        ok &= abs(est.advantage) <= threshold
+    return ok
 
-    return _timed(8, "block scheme within mu-scaled bound", body, limit=None)
+
+@_criterion(8, "block scheme within mu-scaled bound")
+def criterion_8(details: dict) -> bool:
+    """Two-block scheme resists an entangled cross-block challenge."""
+    m, tau, mu = 2, 4, 2
+    base = schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
+    scheme = schemes.block_scheme(base, mu)
+    probe = attacks.EntangledBlockProbe(mu)
+    est = games.estimate_advantage(games.run_gqind_qcpa, scheme, probe, trials=5000, seed=888)
+    bound = mu * channels.corollary_bound(m, tau, 0)
+    threshold = bound + 2.0 * est.half_width
+    details["advantage"] = est.advantage
+    details["mu_times_bound"] = bound
+    details["threshold"] = threshold
+    return abs(est.advantage) <= threshold
 
 
 def _scheme_for(kind: str, m: int, tau: int) -> schemes.ClassicalScheme:
@@ -253,52 +241,46 @@ def _scheme_for(kind: str, m: int, tau: int) -> schemes.ClassicalScheme:
     return schemes.prp_scheme(m, tau, schemes.ideal_prp_family(m + tau))
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "interconversion circuits match direct lifts")
+def criterion_9(details: dict) -> bool:
     """Both oracle interconversion circuits reproduce the direct lifts."""
-
-    def body(details: dict) -> bool:
-        ok = True
-        cases = 0
-        for kind in ("prf", "prp"):
-            for m, tau in ((1, 1), (2, 1), (2, 2)):
-                scheme = _scheme_for(kind, m, tau)
-                for key in _distinct_keys(scheme, 8, seed=90 + m + tau):
-                    for r in (0, 2**tau - 1):
-                        ok &= all(oracles.interconversions_match(scheme, key, r))
-                        cases += 1
-        details["cases"] = cases
-        details["max_entrywise_deviation"] = 0.0 if ok else 1.0
-        return ok
-
-    return _timed(9, "interconversion circuits match direct lifts", body, limit=None)
+    ok = True
+    cases = 0
+    for kind in ("prf", "prp"):
+        for m, tau in ((1, 1), (2, 1), (2, 2)):
+            scheme = _scheme_for(kind, m, tau)
+            for key in _distinct_keys(scheme, 8, seed=90 + m + tau):
+                for r in (0, 2**tau - 1):
+                    ok &= all(oracles.interconversions_match(scheme, key, r))
+                    cases += 1
+    details["cases"] = cases
+    details["max_entrywise_deviation"] = 0.0 if ok else 1.0
+    return ok
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "type-2 adjoint is the decryption oracle")
+def criterion_10(details: dict) -> bool:
     """Adjoint of the in-place lift decrypts: |Enc(x)> -> |x, 0^tau>."""
-
-    def body(details: dict) -> bool:
-        ok = True
-        cases = 0
-        for kind in ("prf", "prp"):
-            scheme = _scheme_for(kind, 2, 2)
-            for key in _distinct_keys(scheme, 8, seed=100):
-                for r in range(4):
-                    u2 = oracles.type2_unitary(scheme, key, r)
-                    adj = u2.adjoint()
-                    for x in range(4):
-                        cipher = int(scheme.enc(key, r, x))
-                        ok &= int(adj.permutation[cipher]) == (x << 2)
-                        cases += 1
-        details["cases"] = cases
-        return ok
-
-    return _timed(10, "type-2 adjoint is the decryption oracle", body, limit=None)
+    ok = True
+    cases = 0
+    for kind in ("prf", "prp"):
+        scheme = _scheme_for(kind, 2, 2)
+        for key in _distinct_keys(scheme, 8, seed=100):
+            for r in range(4):
+                u2 = oracles.type2_unitary(scheme, key, r)
+                adj = u2.adjoint()
+                for x in range(4):
+                    cipher = int(scheme.enc(key, r, x))
+                    ok &= int(adj.permutation[cipher]) == (x << 2)
+                    cases += 1
+    details["cases"] = cases
+    return ok
 
 
 # -- criterion 11: condensed invariant battery -----------------------------------
 
 
-def _check_norms_and_measurement(rng: np.random.Generator) -> bool:
+def _check_norms_and_measurement() -> bool:
     gates = (
         quantum_core.H(0),
         quantum_core.CNOT(0, 2),
@@ -548,7 +530,7 @@ def _check_cli_determinism() -> bool:
 def property_battery() -> tuple[bool, dict]:
     rng = np.random.default_rng(0xBA77)
     checks = {
-        "norm_and_measurement": _check_norms_and_measurement(rng),
+        "norm_and_measurement": _check_norms_and_measurement(),
         "hadamard_involution": _check_hadamard_involution(),
         "trace_distance_metric": _check_trace_distance(rng),
         "description_roundtrip": _check_description_roundtrip(),
@@ -566,18 +548,15 @@ def property_battery() -> tuple[bool, dict]:
     return all(checks.values()), checks
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "module invariant battery")
+def criterion_11(details: dict) -> bool:
     """Condensed invariant battery across every module."""
-
-    def body(details: dict) -> bool:
-        passed, checks = property_battery()
-        details.update(checks)
-        return passed
-
-    return _timed(11, "module invariant battery", body, limit=None)
+    passed, checks = property_battery()
+    details.update(checks)
+    return passed
 
 
-ALL_CRITERIA: tuple[Callable[..., CriterionResult], ...] = (
+ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     criterion_1,
     criterion_2,
     criterion_3,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -185,12 +186,18 @@ class Type2LearningOracle(_LearningOracle):
         return encrypt_fresh_register(self._scheme, self._key, self._next_r(), state, message_wires)
 
 
+def _check_bit(value, what: str) -> int:
+    try:
+        bit = operator.index(value)  # numpy integers pass; 1.0 must not play as 1
+    except TypeError:
+        raise GameSetupError(f"{what} {value!r} is not an integer") from None
+    if bit not in (0, 1):
+        raise GameSetupError(f"{what} must be 0 or 1")
+    return bit
+
+
 def _challenge_bit(rng: np.random.Generator, forced: int | None) -> int:
-    if forced is None:
-        return int(rng.integers(2))
-    if forced not in (0, 1):
-        raise GameSetupError("challenge bit must be 0 or 1")
-    return int(forced)
+    return int(rng.integers(2)) if forced is None else _check_bit(forced, "challenge bit")
 
 
 def _challenge_randomness(
@@ -382,6 +389,24 @@ def hoeffding_half_width(trials: int) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * trials))
 
 
+def _estimate(trials: int, wins: int | None, rate: float, eps: float) -> AdvantageEstimate:
+    """Win rate ``rate`` with half width ``eps``, clipped to [0, 1]; ``wins``
+    is None for an exact evaluation, whose interval is the point."""
+    interval = (max(0.0, rate - eps), min(1.0, rate + eps))
+    exact = wins is None
+    return AdvantageEstimate(
+        trials=trials,
+        wins=wins,
+        win_rate=rate,
+        advantage=2.0 * rate - 1.0,
+        confidence=1.0 if exact else CONFIDENCE,
+        interval=interval,
+        advantage_interval=(2.0 * interval[0] - 1.0, 2.0 * interval[1] - 1.0),
+        half_width=eps,
+        method="exact" if exact else "hoeffding",
+    )
+
+
 def estimate_advantage(
     runner: Callable[..., GameOutcome],
     scheme: ClassicalScheme,
@@ -399,20 +424,7 @@ def estimate_advantage(
         runner(scheme, strategy, np.random.default_rng(child)).win
         for child in np.random.SeedSequence(seed).spawn(trials)
     )
-    rate = wins / trials
-    eps = hoeffding_half_width(trials)
-    interval = (max(0.0, rate - eps), min(1.0, rate + eps))
-    return AdvantageEstimate(
-        trials=trials,
-        wins=int(wins),
-        win_rate=rate,
-        advantage=2.0 * rate - 1.0,
-        confidence=CONFIDENCE,
-        interval=interval,
-        advantage_interval=(2.0 * interval[0] - 1.0, 2.0 * interval[1] - 1.0),
-        half_width=eps,
-        method="hoeffding",
-    )
+    return _estimate(trials, int(wins), wins / trials, hoeffding_half_width(trials))
 
 
 def distinct_keys(scheme: ClassicalScheme, count: int, rng: np.random.Generator) -> list:
@@ -452,18 +464,7 @@ def exact_advantage(
     else:
         r_values = sorted({int(rng.integers(space)) for _ in range(8)})
     probs = [strategy.exact_win_probability(scheme, key, r) for key in keys for r in r_values]
-    p = float(np.mean(probs))
-    return AdvantageEstimate(
-        trials=2 * len(probs),
-        wins=None,
-        win_rate=p,
-        advantage=2.0 * p - 1.0,
-        confidence=1.0,
-        interval=(p, p),
-        advantage_interval=(2.0 * p - 1.0, 2.0 * p - 1.0),
-        half_width=0.0,
-        method="exact",
-    )
+    return _estimate(2 * len(probs), None, float(np.mean(probs)), 0.0)
 
 
 # -- baseline and utility strategies -------------------------------------------
@@ -530,10 +531,8 @@ class ConstantGuesser(AdversaryStrategy):
     games = GAME_NAMES
 
     def __init__(self, bit: int = 0) -> None:
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        self.bit = bit
-        self.name = f"constant{bit}"
+        self.bit = _check_bit(bit, "bit")
+        self.name = f"constant{self.bit}"
 
     def start(self, scheme, rng):
         return _GuessingTrial(scheme, rng, self.bit)

@@ -337,11 +337,7 @@ def apply_unitary(
     wires = tuple(wires)
     _check_wires(state.num_wires, wires, unitary.num_wires)
     block, plan = _register_view(state, wires)
-    if block.shape[2] == 1:
-        # a trailing register: one product over all leading wires at once
-        out = block[:, :, 0] @ unitary.matrix.T
-    else:
-        out = np.matmul(unitary.matrix, block)
+    out = np.matmul(unitary.matrix, block)
     return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
 
 
@@ -409,15 +405,6 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(k, np.einsum("ajbj->ab", t))
 
 
-def _outcome_weights(state: StateVector, wires: tuple[int, ...]):
-    """The register view and plan of ``_register_view``, and the squared norm
-    of each register outcome's branch (its Born weight, not renormalized)."""
-    block, plan = _register_view(state, wires)
-    weight = np.abs(block)
-    weight *= weight
-    return block, plan, weight.sum(axis=(0, 2))
-
-
 def _measure_block(state: StateVector, wires: tuple[int, ...], rng: np.random.Generator):
     """Draw the outcome of measuring ``wires``.
 
@@ -426,7 +413,10 @@ def _measure_block(state: StateVector, wires: tuple[int, ...], rng: np.random.Ge
     ``rng.choice(2**k, p=probs)`` makes: one uniform double searched in the
     normalized cumulative distribution.
     """
-    block, plan, probs = _outcome_weights(state, wires)
+    block, plan = _register_view(state, wires)
+    weight = np.abs(block)
+    weight *= weight
+    probs = weight.sum(axis=(0, 2))
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]

@@ -8,6 +8,7 @@ those of the saved ``qindlab suite --no-timing`` document, suite_results.json
 are pinned without running the suite a second time.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -76,3 +77,50 @@ def test_criterion_10_adjoint_is_decryption():
 
 def test_criterion_11_property_battery():
     check(acceptance.criterion_11())
+
+
+# -- the criterion decorator's contract ------------------------------------------
+
+
+def test_a_raising_criterion_fails_with_its_reason():
+    @acceptance._criterion(99, "raises", limit=None)
+    def body(details):
+        details["reached"] = True
+        raise ValueError("boom")
+
+    result = body()
+    assert (result.number, result.name, result.passed) == (99, "raises", False)
+    assert result.details == {"reached": True, "error": "ValueError: boom"}
+
+
+def test_a_criterion_reaching_its_limit_fails():
+    @acceptance._criterion(98, "limited", limit=0.0)
+    def body(details):
+        return True
+
+    result = body()
+    assert not result.passed
+    assert result.details == {"runtime_limit_seconds": 0.0, "runtime_exceeded": True}
+
+
+def test_a_criterion_without_a_limit_records_none():
+    @acceptance._criterion(97, "unlimited")
+    def body(details):
+        details["value"] = 1
+        return 1
+
+    result = body()
+    assert result.passed is True and result.seconds >= 0.0
+    assert result.details == {"value": 1}
+
+
+def test_a_criterion_keeps_its_name_and_docstring():
+    def body(details):
+        """What the criterion checks."""
+        return True
+
+    criterion = acceptance._criterion(96, "named")(body)
+    assert (criterion.__name__, criterion.__doc__) == ("body", "What the criterion checks.")
+    assert not inspect.signature(criterion).parameters
+    for number, fn in enumerate(acceptance.ALL_CRITERIA, start=1):
+        assert fn.__name__ == f"criterion_{number}" and fn.__doc__

@@ -298,6 +298,21 @@ def test_forced_randomness_must_be_an_integer(r):
     assert out.randomness_used[-1] == 3 and type(out.randomness_used[-1]) is int
 
 
+@pytest.mark.parametrize("bit", [1.0, np.float64(0.0), "1"])
+def test_forced_bits_must_be_integers(bit):
+    # 1.0 was played as b = 1 and named a constant1.0 guesser; numpy
+    # integers still pass, recorded as int
+    scheme, guesser = prf_scheme(2, 2), RandomGuesser()
+    with pytest.raises(GameSetupError, match="is not an integer"):
+        run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_bit=bit)
+    with pytest.raises(GameSetupError, match="is not an integer"):
+        ConstantGuesser(bit)
+    out = run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_bit=np.int64(1))
+    assert out.challenge_bit == 1 and type(out.challenge_bit) is int
+    constant = ConstantGuesser(np.int64(1))
+    assert constant.name == "constant1" and type(constant.bit) is int
+
+
 def test_fqind_game_runs_and_relays_all_registers():
     scheme = prf_scheme(1, 1)
 

@@ -64,6 +64,7 @@ from .quantum_core import (
     StateDescription,
     StateVector,
     X,
+    _check_index,
     _register_view,
     apply_unitary,
     hadamard_all,
@@ -288,9 +289,7 @@ class HadamardBitProbe(HadamardTest):
     games = ("qind", "gqind")
 
     def __init__(self, probe_wire: int = 0) -> None:
-        if probe_wire < 0:
-            raise ValueError("probe_wire must be >= 0")
-        self.probe_wire = probe_wire
+        self.probe_wire = _check_index(probe_wire, "probe_wire")
 
     def tested_wires(self, scheme):
         m, ell = scheme.message_bits, scheme.ciphertext_bits
@@ -329,10 +328,10 @@ class EntangledBlockProbe(HadamardTest):
     games = ("gqind",)
 
     def __init__(self, mu: int) -> None:
-        if mu < 1:
+        self.mu = _check_index(mu, "mu")
+        if self.mu < 1:
             raise ValueError("mu must be >= 1")
-        self.mu = mu
-        self.name = f"entangled-blocks-mu{mu}"
+        self.name = f"entangled-blocks-mu{self.mu}"
 
     def tested_wires(self, scheme):
         mu = self.mu

@@ -40,6 +40,7 @@ from .quantum_core import (
     _DENSE_CAP,
     WIRE_CAP,
     DensityMatrix,
+    _check_index,
     maximally_entangled,
     random_pure_bipartite,
     trace_norm,
@@ -157,9 +158,7 @@ def _free_set(message_bits: int, tau: int, taken) -> np.ndarray:
     if message_bits < 1 or tau < 0:
         raise ValueError("need message_bits >= 1 and tau >= 0")
     n = 2 ** (message_bits + tau)
-    taken_set = {int(t) for t in taken}
-    if any(t < 0 or t >= n for t in taken_set):
-        raise ValueError("taken ciphertexts out of range")
+    taken_set = {_check_index(t, "taken ciphertext", n) for t in taken}
     return np.array(sorted(set(range(n)) - taken_set), dtype=np.int64)
 
 

@@ -26,23 +26,32 @@ All four share one challenger skeleton; only the learning oracle, the
 template checks and the challenge step differ. Every trial consumes
 randomness only from its own Generator, and estimate_advantage derives one
 child seed per trial up front, so aggregates are reproducible.
+
+Inputs are checked before any draw that uses them, and refused with
+GameSetupError: forced b and r before the key, a learning query's registers
+and plaintext before its r, the template before b. Integers (b, r,
+plaintexts, the guess) pass ``quantum_core._check_index``, so 1.5 and 1.0
+are refused, not truncated; registers have their sizes, and all their wires
+pass one ``_check_wires`` together, so they are disjoint.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .oracles import _check_randomness, encrypt_fresh_register, xor_encrypt_register
+from .oracles import _check_randomness, _fresh_register, encrypt_fresh_register
+from .oracles import xor_encrypt_register
 from .quantum_core import (
     StateDescription,
     StateVector,
     X,
+    _check_index,
+    _check_wires,
     measure_and_remove,
     sample_description,
     zero_state,
@@ -56,6 +65,15 @@ CONFIDENCE = 0.99
 
 class GameSetupError(ValueError):
     """Malformed challenge, incompatible strategy, or invalid game request."""
+
+
+def _refused(check: Callable, *args):
+    """``check(*args)``, with a ValueError it raises turned into GameSetupError:
+    the one place the games adopt an input check's refusal as their own."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise GameSetupError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +154,8 @@ def _fresh_randomness(scheme: ClassicalScheme, rng: np.random.Generator) -> int:
 
 
 class _LearningOracle:
-    """Fresh randomness per query; records every value drawn."""
+    """Fresh randomness per query; records every value drawn. A refused query
+    leaves no trace: no count, no recorded r, an untouched Generator."""
 
     def __init__(self, scheme: ClassicalScheme, key, rng: np.random.Generator) -> None:
         self._scheme = scheme
@@ -153,7 +172,8 @@ class _LearningOracle:
 
     def query_classical(self, x: int) -> int:
         """Basis-state query; returns the classical ciphertext."""
-        return int(self._scheme.enc(self._key, self._next_r(), int(x)))
+        x = _refused(_check_index, x, "plaintext", 2**self._scheme.message_bits)
+        return int(self._scheme.enc(self._key, self._next_r(), x))
 
 
 class Type1LearningOracle(_LearningOracle):
@@ -168,6 +188,7 @@ class Type1LearningOracle(_LearningOracle):
         m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
         if len(message_wires) != m or len(response_wires) != ell:
             raise GameSetupError(f"type-1 query needs {m} message and {ell} response wires")
+        _refused(_check_wires, state.num_wires, (*message_wires, *response_wires))
         return xor_encrypt_register(
             self._scheme, self._key, self._next_r(), state, message_wires, response_wires
         )
@@ -183,41 +204,8 @@ class Type2LearningOracle(_LearningOracle):
         m = self._scheme.message_bits
         if len(message_wires) != m:
             raise GameSetupError(f"type-2 query needs {m} message wires")
+        _refused(_fresh_register, self._scheme, state.num_wires, message_wires)
         return encrypt_fresh_register(self._scheme, self._key, self._next_r(), state, message_wires)
-
-
-def _check_bit(value, what: str) -> int:
-    try:
-        bit = operator.index(value)  # numpy integers pass; 1.0 must not play as 1
-    except TypeError:
-        raise GameSetupError(f"{what} {value!r} is not an integer") from None
-    if bit not in (0, 1):
-        raise GameSetupError(f"{what} must be 0 or 1")
-    return bit
-
-
-def _challenge_bit(rng: np.random.Generator, forced: int | None) -> int:
-    return int(rng.integers(2)) if forced is None else _check_bit(forced, "challenge bit")
-
-
-def _challenge_randomness(
-    scheme: ClassicalScheme, rng: np.random.Generator, forced: int | None
-) -> int:
-    if forced is None:
-        return _fresh_randomness(scheme, rng)
-    try:
-        return _check_randomness(scheme, forced)
-    except ValueError as exc:
-        raise GameSetupError(str(exc)) from None
-
-
-def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what: str) -> None:
-    if len(wires) != size:
-        raise GameSetupError(f"{what} must have {size} wires, got {len(wires)}")
-    if len(set(wires)) != len(wires):
-        raise GameSetupError(f"{what} wires must be distinct")
-    if any(w < 0 or w >= state.num_wires for w in wires):
-        raise GameSetupError(f"{what} wires out of range")
 
 
 # -- per-game challenge steps ---------------------------------------------------
@@ -230,22 +218,19 @@ def _check_register(state: StateVector, wires: tuple[int, ...], size: int, what:
 def _check_ind(scheme: ClassicalScheme, template) -> None:
     x0, x1 = template
     for x in (x0, x1):
-        if not 0 <= int(x) < 2**scheme.message_bits:
-            raise GameSetupError(f"challenge plaintext {x} out of range")
+        _refused(_check_index, x, "challenge plaintext", 2**scheme.message_bits)
 
 
 def _challenge_ind(scheme, key, template, b, r, rng) -> int:
-    return int(scheme.enc(key, r, int(template[b])))
+    return int(scheme.enc(key, r, template[b]))
 
 
 def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
     m, ell = scheme.message_bits, scheme.ciphertext_bits
-    _check_register(ch.state, ch.message0_wires, m, "message register 0")
-    _check_register(ch.state, ch.message1_wires, m, "message register 1")
-    _check_register(ch.state, ch.response_wires, ell, "response register")
-    claimed = set(ch.message0_wires) | set(ch.message1_wires) | set(ch.response_wires)
-    if len(claimed) != 2 * m + ell:
-        raise GameSetupError("challenge registers must be disjoint")
+    registers = (ch.message0_wires, ch.message1_wires, ch.response_wires)
+    if tuple(map(len, registers)) != (m, m, ell):
+        raise GameSetupError(f"fqind registers need {m}, {m} and {ell} wires")
+    _refused(_check_wires, ch.state.num_wires, tuple(w for reg in registers for w in reg))
 
 
 def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng) -> FqindChallenge:
@@ -271,10 +256,9 @@ def _challenge_qind(scheme, key, template, b, r, rng) -> StateVector:
 
 def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
     m = scheme.message_bits
-    _check_register(ch.state, ch.message0_wires, m, "message register 0")
-    _check_register(ch.state, ch.message1_wires, m, "message register 1")
-    if set(ch.message0_wires) & set(ch.message1_wires):
-        raise GameSetupError("message registers must be disjoint")
+    if len(ch.message0_wires) != m or len(ch.message1_wires) != m:
+        raise GameSetupError(f"gqind message registers need {m} wires each")
+    _refused(_check_wires, ch.state.num_wires, (*ch.message0_wires, *ch.message1_wires))
 
 
 def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindResponse:
@@ -321,6 +305,10 @@ def _play(
     challenge bit, challenge randomness, then the challenge step.
     """
     oracle_type, check, challenge = GAME_STEPS[game]
+    if challenge_bit is not None:
+        challenge_bit = _refused(_check_index, challenge_bit, "challenge bit", 2)
+    if challenge_randomness is not None:
+        challenge_randomness = _refused(_check_randomness, scheme, challenge_randomness)
     if key is None:
         key = scheme.gen(rng)
     adv = strategy.start(scheme, rng)
@@ -331,12 +319,10 @@ def _play(
         adv.learn(oracle)
     template = getattr(adv, f"{game}_template")()
     check(scheme, template)
-    b = _challenge_bit(rng, challenge_bit)
-    r = _challenge_randomness(scheme, rng, challenge_randomness)
+    b = int(rng.integers(2)) if challenge_bit is None else challenge_bit
+    r = _fresh_randomness(scheme, rng) if challenge_randomness is None else challenge_randomness
     adv.receive_challenge(challenge(scheme, key, template, b, r, rng))
-    g = int(adv.final_guess())
-    if g not in (0, 1):
-        raise GameSetupError(f"guess must be 0 or 1, got {g}")
+    g = _refused(_check_index, adv.final_guess(), "guess", 2)
     return GameOutcome(
         game, b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count
     )
@@ -418,18 +404,17 @@ def estimate_advantage(
 
     Trial i always uses the i-th spawned child of SeedSequence(seed).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    eps = hoeffding_half_width(_check_index(trials, "trials"))
     wins = sum(
         runner(scheme, strategy, np.random.default_rng(child)).win
         for child in np.random.SeedSequence(seed).spawn(trials)
     )
-    return _estimate(trials, int(wins), wins / trials, hoeffding_half_width(trials))
+    return _estimate(trials, int(wins), wins / trials, eps)
 
 
 def distinct_keys(scheme: ClassicalScheme, count: int, rng: np.random.Generator) -> list:
     """The first ``count`` distinct keys scheme.gen draws from rng."""
-    if count > scheme.key_space:
+    if _check_index(count, "key count") > scheme.key_space:
         raise ValueError(f"{count} distinct keys requested; {scheme.name} has {scheme.key_space}")
     keys: list = []
     while len(keys) < count:
@@ -531,7 +516,7 @@ class ConstantGuesser(AdversaryStrategy):
     games = GAME_NAMES
 
     def __init__(self, bit: int = 0) -> None:
-        self.bit = _check_bit(bit, "bit")
+        self.bit = _refused(_check_index, bit, "bit", 2)
         self.name = f"constant{self.bit}"
 
     def start(self, scheme, rng):
@@ -570,6 +555,5 @@ def with_learning_queries(strategy: AdversaryStrategy, count: int) -> AdversaryS
     The queries are real oracle calls, so transcripts and the taken-output
     budget |T| = q * mu * 2^m they feed are honest.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = _check_index(count, "learning query count")
     return strategy if count == 0 else _PaddedStrategy(strategy, count)

@@ -23,15 +23,14 @@ constructions by the test suite.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .quantum_core import StateVector, UnitaryOperator, _check_permutation, _check_wire_count
-from .quantum_core import _check_wires, _flat_amplitudes, _owned_state, _register_view
-from .quantum_core import apply_basis_permutation
+from .quantum_core import StateVector, UnitaryOperator, _check_index, _check_permutation
+from .quantum_core import _check_wire_count, _check_wires, _flat_amplitudes, _owned_state
+from .quantum_core import _register_view, apply_basis_permutation
 from .schemes import ClassicalScheme
 
 
@@ -101,18 +100,20 @@ class EncryptionUnitary:
         return out >> self.workspace_wires
 
 
-def _enc_table(scheme: ClassicalScheme, key, r) -> np.ndarray:
-    return np.asarray(scheme.enc(key, r, np.arange(2**scheme.message_bits)), dtype=np.int64)
-
-
 def _check_randomness(scheme: ClassicalScheme, r) -> int:
-    try:
-        r = operator.index(r)  # numpy integers pass; 1.5 must not truncate to 1
-    except TypeError:
-        raise ValueError(f"randomness {r!r} is not an integer") from None
-    if not 0 <= r < 2**scheme.randomness_bits:
-        raise ValueError(f"randomness {r} out of range for {scheme.randomness_bits} bits")
-    return r
+    return _check_index(r, "randomness", 2**scheme.randomness_bits)
+
+
+def _enc_table(scheme: ClassicalScheme, key, r, injective: bool = False) -> np.ndarray:
+    """Enc_k(x; r) for every plaintext x. Raises ValueError for an entry
+    outside ell bits and, if ``injective``, for two equal entries."""
+    ell = scheme.ciphertext_bits
+    enc = np.asarray(scheme.enc(key, r, np.arange(2**scheme.message_bits)), dtype=np.int64)
+    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
+    if min(values) < 0 or max(values) >= 2**ell or injective and len(set(values)) < len(values):
+        fault = "is not injective into" if injective else "leaves"
+        raise ValueError(f"scheme {scheme.name}: Enc {fault} {ell} bits")
+    return enc
 
 
 def _is_xor_lift(table: np.ndarray) -> bool:
@@ -140,12 +141,9 @@ def xor_encrypt_register(
     gather if the response run follows the message run, one per x into output
     slices if a gap parts them, else one through a transposed copy.
     """
-    enc, ell = _enc_table(scheme, key, _check_randomness(scheme, r)), scheme.ciphertext_bits
-    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
-    if min(values) < 0 or max(values) >= 2**ell:
-        raise ValueError(f"scheme {scheme.name}: Enc leaves {ell} bits")
+    enc = _enc_table(scheme, key, _check_randomness(scheme, r))
     message_wires, response_wires = tuple(message_wires), tuple(response_wires)
-    n, m = state.num_wires, scheme.message_bits
+    n, m, ell = state.num_wires, scheme.message_bits, scheme.ciphertext_bits
     for wires, want in ((message_wires, m), (response_wires, ell)):
         if len(wires) != want:
             raise ValueError(f"expected {want} wires, got {len(wires)}")
@@ -191,18 +189,22 @@ def encrypt_fresh_register(
     ancilla wires], and returns it with that register's wires. Raises
     ValueError for bad wires or an Enc not injective into ell bits.
     """
-    enc, ell = _enc_table(scheme, key, _check_randomness(scheme, r)), scheme.ciphertext_bits
-    values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
-    if len(set(values)) != len(values) or min(values) < 0 or max(values) >= 2**ell:
-        raise ValueError(f"scheme {scheme.name}: Enc is not injective into {ell} bits")
-    n, total = state.num_wires, state.num_wires + ell - scheme.message_bits
-    _check_wire_count(total)
-    wires = tuple(message_wires) + tuple(range(n, total))
-    _check_wires(total, wires, ell)
-    rest, x_of, deposit = _fresh_layout(n, wires)
+    enc = _enc_table(scheme, key, _check_randomness(scheme, r), injective=True)
+    total, wires = _fresh_register(scheme, state.num_wires, message_wires)
+    rest, x_of, deposit = _fresh_layout(state.num_wires, wires)
     out = np.zeros(2**total, dtype=np.complex128)
     out[deposit[enc][x_of] | rest] = state.amplitudes
     return _owned_state(total, out), wires
+
+
+def _fresh_register(scheme: ClassicalScheme, num_wires: int, message_wires):
+    """The wire count once ell - m ancilla wires join a ``num_wires``-wire
+    state, and the register [message wires | ancilla] they make; checked."""
+    total = num_wires + scheme.ciphertext_bits - scheme.message_bits
+    _check_wire_count(total)
+    wires = tuple(message_wires) + tuple(range(num_wires, total))
+    _check_wires(total, wires, scheme.ciphertext_bits)
+    return total, wires
 
 
 def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,19 @@ _DENSE_CAP = 10
 # Positive-semidefiniteness is verified by Cholesky factorization up to this
 # dimension; larger matrices check Hermiticity and trace only.
 _PSD_CHECK_DIM = 512
+
+
+def _check_index(value, what: str, size: float = math.inf) -> int:
+    """``value`` as an int in [0, size), read through ``operator.index``:
+    numpy integers pass, while 1.5, 1.0 and "1" raise ValueError instead of
+    being truncated or parsed."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if not 0 <= index < size:
+        raise ValueError(f"{what} {index} out of range [0, {size})")
+    return index
 
 
 def _check_wire_count(num_wires: int) -> None:
@@ -170,7 +184,7 @@ class Gate:
     def __post_init__(self) -> None:
         if self.name not in _GATE_ARITY:
             raise ValueError(f"unknown gate {self.name!r}; supported: {sorted(_GATE_ARITY)}")
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        object.__setattr__(self, "wires", tuple(_check_index(w, "gate wire") for w in self.wires))
         if len(self.wires) != _GATE_ARITY[self.name]:
             raise ValueError(f"gate {self.name} takes {_GATE_ARITY[self.name]} wire(s)")
         if len(set(self.wires)) != len(self.wires):

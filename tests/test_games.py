@@ -28,7 +28,8 @@ from qindlab.games import (
     run_qind_qcpa,
     with_learning_queries,
 )
-from qindlab.quantum_core import StateVector, state_from_bits, zero_state
+from qindlab.channels import certify_corollary_bound
+from qindlab.quantum_core import H, StateVector, state_from_bits, zero_state
 from qindlab.schemes import (
     block_scheme,
     constant_prf,
@@ -211,15 +212,45 @@ def test_type2_learning_query_checks_the_message_wire_count():
     assert oracle.query_count == 0
 
 
+def _assert_no_trace(oracle, rng, state):
+    # a refused query is neither counted nor drawn for
+    assert oracle.query_count == 0 and oracle.randomness_used == []
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize(
     "wires,match",
     [((1, 1), "distinct"), ((0, 3), "distinct"), ((0, 5), "out of range"), ((-1, 0), "out of range")],
 )
 def test_type2_learning_query_refuses_repeated_and_out_of_range_wires(wires, match):
     # a three-wire state gains the ancilla wires 3 and 4, so wire 3 is taken
-    oracle = Type2LearningOracle(prf_scheme(2, 2), 6, np.random.default_rng(4))
-    with pytest.raises(ValueError, match=match):
+    rng = np.random.default_rng(4)
+    oracle, state = Type2LearningOracle(prf_scheme(2, 2), 6, rng), rng.bit_generator.state
+    with pytest.raises(GameSetupError, match=match):
         oracle.query(state_from_bits("000"), wires)
+    _assert_no_trace(oracle, rng, state)
+
+
+@pytest.mark.parametrize(
+    "oracle_type,query,match",
+    [
+        (Type1LearningOracle, lambda o: o.query(zero_state(6), (0, 1), (1, 2, 3, 4)), "distinct"),
+        (Type1LearningOracle, lambda o: o.query(zero_state(6), (0, 1), (2, 3, 4, 6)), "range"),
+        (Type1LearningOracle, lambda o: o.query_classical(7), "plaintext 7 out of range"),
+        (Type2LearningOracle, lambda o: o.query_classical(1.5), "1.5 is not an integer"),
+        (Type2LearningOracle, lambda o: o.query_classical("1"), "'1' is not an integer"),
+        # two ancilla wires would take a 13-wire state past the cap
+        (Type2LearningOracle, lambda o: o.query(zero_state(13), (0, 1)), "exceeds the cap"),
+    ],
+    ids=["type1-distinct", "type1-range", "classical-7", "classical-1.5", "classical-str", "cap"],
+)
+def test_refused_learning_queries_leave_no_trace(oracle_type, query, match):
+    # m = 2: a classical plaintext lies in [0, 4)
+    rng = np.random.default_rng(4)
+    oracle, state = oracle_type(prf_scheme(2, 2), 6, rng), rng.bit_generator.state
+    with pytest.raises(GameSetupError, match=match):
+        query(oracle)
+    _assert_no_trace(oracle, rng, state)
 
 
 def test_the_games_read_the_scheme_only_through_enc(monkeypatch):
@@ -290,10 +321,13 @@ def test_forced_challenge_arguments_are_honored():
 
 @pytest.mark.parametrize("r", [1.5, np.float64(1.0), "1"])
 def test_forced_randomness_must_be_an_integer(r):
-    # 1.5 was played as r = 1; numpy integers still pass, recorded as int
-    scheme, guesser = prf_scheme(2, 2), RandomGuesser()
+    # 1.5 was played as r = 1; numpy integers still pass, recorded as int;
+    # the refusal comes before the key is drawn
+    scheme, guesser, rng = prf_scheme(2, 2), RandomGuesser(), np.random.default_rng(5)
+    state = rng.bit_generator.state
     with pytest.raises(GameSetupError, match="is not an integer"):
-        run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_randomness=r)
+        run_qind_qcpa(scheme, guesser, rng, challenge_randomness=r)
+    assert rng.bit_generator.state == state
     out = run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_randomness=np.int64(3))
     assert out.randomness_used[-1] == 3 and type(out.randomness_used[-1]) is int
 
@@ -302,15 +336,85 @@ def test_forced_randomness_must_be_an_integer(r):
 def test_forced_bits_must_be_integers(bit):
     # 1.0 was played as b = 1 and named a constant1.0 guesser; numpy
     # integers still pass, recorded as int
-    scheme, guesser = prf_scheme(2, 2), RandomGuesser()
+    scheme, guesser, rng = prf_scheme(2, 2), RandomGuesser(), np.random.default_rng(5)
+    state = rng.bit_generator.state
     with pytest.raises(GameSetupError, match="is not an integer"):
-        run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_bit=bit)
+        run_qind_qcpa(scheme, guesser, rng, challenge_bit=bit)
+    assert rng.bit_generator.state == state
     with pytest.raises(GameSetupError, match="is not an integer"):
         ConstantGuesser(bit)
     out = run_qind_qcpa(scheme, guesser, np.random.default_rng(5), challenge_bit=np.int64(1))
     assert out.challenge_bit == 1 and type(out.challenge_bit) is int
     constant = ConstantGuesser(np.int64(1))
     assert constant.name == "constant1" and type(constant.bit) is int
+
+
+class ScriptedInd(AdversaryStrategy):
+    """An ind adversary that makes one classical learning query, sends a fixed
+    plaintext pair and guesses a fixed value; it keeps what it was sent."""
+
+    name, games = "scripted", ("ind",)
+
+    def __init__(self, pair=(0, 3), query=0, guess=0):
+        self.pair, self.query, self.guess = pair, query, guess
+
+    def start(self, scheme, rng):
+        return self
+
+    def learn(self, oracle):
+        self.learned = oracle.query_classical(self.query)
+
+    def ind_template(self):
+        return self.pair
+
+    def receive_challenge(self, ciphertext):
+        self.ciphertext = ciphertext
+
+    def final_guess(self):
+        return self.guess
+
+
+@pytest.mark.parametrize("value", [0.5, 0.9, 1.5, np.float64(1.0), "1"])
+def test_plaintexts_and_guesses_must_be_integers(value):
+    # an ind pair (0.5, 2.9) was played as (0, 2), a guess of 0.9 scored as
+    # 0 and a query of 1.5 encrypted as 1; numpy integers still play alike
+    scheme = prf_scheme(2, 2)
+    for adversary in (
+        ScriptedInd(pair=(value, 3)),
+        ScriptedInd(pair=(0, value)),
+        ScriptedInd(query=value),
+        ScriptedInd(guess=value),
+    ):
+        with pytest.raises(GameSetupError, match="is not an integer"):
+            run_ind_qcpa(scheme, adversary, np.random.default_rng(5))
+    plain = ScriptedInd(pair=(0, 3), query=2, guess=1)
+    numpy = ScriptedInd(pair=(np.int64(0), np.uint8(3)), query=np.int64(2), guess=np.int64(1))
+    outcomes = [run_ind_qcpa(scheme, a, np.random.default_rng(5)) for a in (plain, numpy)]
+    assert outcomes[0] == outcomes[1] and type(outcomes[1].guess) is int
+    assert (plain.learned, plain.ciphertext) == (numpy.learned, numpy.ciphertext)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: exact_advantage(prf_scheme(2, 1), qlp_distinguisher(), key_count=v),
+        lambda v: games.distinct_keys(prf_scheme(2, 1), v, np.random.default_rng(0)),
+        lambda v: estimate_advantage(run_qind_qcpa, prf_scheme(1, 1), RandomGuesser(), v, 0),
+        lambda v: with_learning_queries(qlp_distinguisher(), v),
+        lambda v: attacks.HadamardBitProbe(v),
+        lambda v: EntangledBlockProbe(v),
+        lambda v: certify_corollary_bound(1, 3, (v,), samples=1),
+        lambda v: H(v),
+    ],
+    ids=["key_count", "distinct_keys", "trials", "queries", "probe_wire", "mu", "taken", "wire"],
+)
+def test_count_and_index_arguments_must_be_integers(call):
+    # key_count=1.5 evaluated 2 keys, taken output 1.5 was certified as 1
+    # and a gate on wire 0.5 acted on wire 0; the others failed only later
+    for value in (1.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call(value)
+    call(np.int64(1))
 
 
 def test_fqind_game_runs_and_relays_all_registers():

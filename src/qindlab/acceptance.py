@@ -400,6 +400,7 @@ class _RecordingProbe(games.AdversaryStrategy):
     """
 
     name = "probe"
+    games = ("qind", "gqind")
 
     def __init__(self, template) -> None:
         self.template = template

@@ -7,15 +7,17 @@ is 2^(-k/2) (1, ..., 1), so p0 = ||sum_x psi(x, .)||^2 / 2^k, a sum along
 the tested register x of the response; no H^k is built or applied. An
 attack declares only its data:
 
-* its challenge template: fqind registers, or two pure qind state
-  descriptions (its gqind template is their product state);
+* its challenge template: two pure qind state descriptions; its gqind
+  template is their product state, its fqind template that state beside a
+  |0> response register;
 * the wires it tests, as positions inside the response register (message
   register 1 for fqind, the ciphertext register for qind and gqind);
 * the scheme check it makes before a trial, which also fixes those positions.
 
-HadamardTest plays and scores them all from p0: one trial class answers the
-templates of the attack's games, and one exact evaluator replays the game's
-own challenge step for both challenge bits, with no sampling anywhere.
+HadamardTest plays and scores them all from p0: one cache builds every
+template, one trial class hands them out for the games the attack declares,
+and one exact evaluator replays the game's own challenge step for both
+challenge bits, with no sampling anywhere.
 
 Four attacks, each with a closed-form expected win rate where one is known:
 
@@ -66,8 +68,6 @@ from .quantum_core import (
     X,
     _check_index,
     _register_view,
-    apply_unitary,
-    hadamard_all,
     run_gates,
     zero_state,
 )
@@ -91,26 +91,8 @@ def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
     return np.vdot(rest, rest).real / 2 ** len(wires), np.vdot(amps, amps).real
 
 
-@functools.lru_cache(maxsize=64)
-def _product_challenge(d0: StateDescription, d1: StateDescription) -> GqindChallenge:
-    """The gqind template of a pure qind description pair: unentangled registers.
-
-    Built once per pair; the challenge is immutable, so trials share it.
-    """
-    m = d0.num_wires
-    a, b = run_gates(m, d0.gates), run_gates(m, d1.gates)
-    state = StateVector(2 * m, np.kron(a.amplitudes, b.amplitudes))
-    return GqindChallenge(state, tuple(range(m)), tuple(range(m, 2 * m)))
-
-
-@functools.lru_cache(maxsize=64)
-def _description_pair(attack: HadamardTest, m: int) -> tuple[StateDescription, StateDescription]:
-    """An attack's qind pair on ``m`` message wires, built once per (attack, m)."""
-    return attack.descriptions(m)
-
-
 class _HadamardTrial:
-    """One trial of a HadamardTest; offers templates only for the attack's games."""
+    """One trial of a HadamardTest; the challenger asks only for its games' templates."""
 
     def __init__(self, attack: HadamardTest, scheme: ClassicalScheme, rng) -> None:
         self._attack = attack
@@ -119,11 +101,14 @@ class _HadamardTrial:
         self._rng = rng
         self._guess: int | None = None
 
-    def __getattr__(self, name: str):
-        game = name.removesuffix("_template")
-        if game == name or game not in self._attack.games:
-            raise AttributeError(name)
-        return lambda: self._attack.template(self._scheme, game)
+    def fqind_template(self) -> FqindChallenge:
+        return self._attack.template(self._scheme, "fqind")
+
+    def qind_template(self) -> tuple[StateDescription, StateDescription]:
+        return self._attack.template(self._scheme, "qind")
+
+    def gqind_template(self) -> GqindChallenge:
+        return self._attack.template(self._scheme, "gqind")
 
     def receive_challenge(self, response) -> None:
         # measuring the tested wires draws 0 iff one uniform is below p0 / total
@@ -139,14 +124,14 @@ class HadamardTest(AdversaryStrategy):
     """An attack given by its template, its tested wires and its scheme check,
     scored by p0 = ||sum_x psi(x, .)||^2 / 2^k over its k tested wires x.
 
-    Subclasses define ``tested_wires`` and either ``descriptions`` (a pure
-    qind pair, whose product state is the gqind template) or ``template``.
+    Subclasses define ``tested_wires`` and ``descriptions``, a pure qind
+    pair; every other template is built from that pair.
     """
 
-    # The game whose challenge step scores the attack exactly. A description
-    # attack's gqind registers form a product state, so measuring out the
-    # unchosen one leaves the chosen one as the qind challenger rebuilds it:
-    # both games give the same value.
+    # The game whose challenge step scores the attack exactly. The gqind
+    # registers form a product state, so measuring out the unchosen one
+    # leaves the chosen one as the qind challenger rebuilds it: both games
+    # give the same value.
     exact_game = "qind"
 
     def tested_wires(self, scheme: ClassicalScheme) -> tuple[int, ...]:
@@ -167,8 +152,7 @@ class HadamardTest(AdversaryStrategy):
 
     def template(self, scheme: ClassicalScheme, game: str):
         """The challenge template this attack sends in ``game``; trials share it."""
-        pair = _description_pair(self, scheme.message_bits)
-        return pair if game == "qind" else _product_challenge(*pair)
+        return _template(self, game, scheme.message_bits, scheme.ciphertext_bits)
 
     def start(self, scheme, rng):
         return _HadamardTrial(self, scheme, rng)
@@ -185,6 +169,22 @@ class HadamardTest(AdversaryStrategy):
         # per challenge bit, the weight of every tested wire measuring zero
         p0, p1 = (float(_zero_weight(x, tested)[0]) for x in responses)
         return 0.5 * (p0 + 1.0 - p1)
+
+
+@functools.lru_cache(maxsize=64)
+def _template(attack: HadamardTest, game: str, m: int, ell: int):
+    """What ``attack`` sends in ``game`` at m message and ell ciphertext bits:
+    its qind pair, or the pair's product state on two m-wire registers, then
+    in fqind an ell-wire |0> response. Immutable, so built once and shared."""
+    pair = attack.descriptions(m)
+    if game == "qind":
+        return pair
+    amps = np.kron(*(run_gates(m, d.gates).amplitudes for d in pair))
+    registers = tuple(range(m)), tuple(range(m, 2 * m))
+    if game == "gqind":
+        return GqindChallenge(StateVector(2 * m, amps), *registers)
+    state = StateVector(2 * m + ell, np.kron(amps, zero_state(ell).amplitudes))
+    return FqindChallenge(state, *registers, tuple(range(2 * m, 2 * m + ell)))
 
 
 # -- superposition-mask attack (fqind) ------------------------------------------
@@ -207,20 +207,12 @@ class SuperpositionMaskAttack(HadamardTest):
     def tested_wires(self, scheme):
         return tuple(range(scheme.message_bits))
 
-    def template(self, scheme, game):
-        return _mask_template(scheme.message_bits, scheme.ciphertext_bits)
+    def descriptions(self, m):
+        return StateDescription(m), StateDescription(m, tuple(H(w) for w in range(m)))
 
     @staticmethod
     def expected_win_rate(scheme: ClassicalScheme) -> Fraction:
         return bz_expected_win_rate(scheme.message_bits)
-
-
-@functools.lru_cache(maxsize=64)
-def _mask_template(m: int, ell: int) -> FqindChallenge:
-    """The bz challenge on 2m + ell wires; immutable, so trials share it."""
-    msg1 = tuple(range(m, 2 * m))
-    state = apply_unitary(hadamard_all(m), zero_state(2 * m + ell), msg1)
-    return FqindChallenge(state, tuple(range(m)), msg1, tuple(range(2 * m, 2 * m + ell)))
 
 
 def bz_expected_win_rate(message_bits: int) -> Fraction:

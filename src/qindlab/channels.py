@@ -23,10 +23,11 @@ verdict. For a pure probe X = v v^dag - M M^dag, M its amplitudes as a
 2^m x 2^m matrix and v = M 1, so exact runs score every probe from X alone
 and report that closed form as the witness too; they build no channel and
 no dense output, and run wherever the 2m-wire probe and the (m + tau)-wire
-free set fit under the wire cap. Only sampled runs, and the coherence block
-of an exact one-message-bit run, apply channels to dense 2^(2m + tau)-square
-outputs, capped at the dense-matrix limit; a sampled run's witness is its
-mixture's per-input trace distance.
+free set fit under the wire cap; at m = 1 the coherence block chi_C is
+2 X[0, 1] times the exact channel's image of |0><1|, capped at the
+dense-matrix limit. Only sampled runs apply channels, to dense
+2^(2m + tau)-square outputs; their witness is the mixture's per-input trace
+distance.
 """
 
 from __future__ import annotations
@@ -275,8 +276,7 @@ def _certify(
         raise ValueError("samples must be >= 1")
     # exact runs above one message bit build no dense matrix: only the
     # 2m-wire probe and the (m + tau)-wire free set must fit
-    dense = n_perm is not None or message_bits == 1
-    if dense:
+    if n_perm is not None or message_bits == 1:
         wires, cap, what = 2 * message_bits + tau, _DENSE_CAP, "dense matrices"
     else:
         wires, cap, what = max(message_bits + tau, 2 * message_bits), WIRE_CAP, "states"
@@ -293,7 +293,7 @@ def _certify(
     if seed is None and (n_perm is not None or samples > 1):
         raise ValueError("sampled certification needs a seed")
     rng = np.random.default_rng(seed)
-    if dense:
+    if n_perm is not None:
         enc = avg_permutation_channel(message_bits, tau, taken, n_perm=n_perm, rng=rng)
         ideal = constant_mixed_channel(message_bits, tau, taken)
 
@@ -314,25 +314,25 @@ def _certify(
         # and v = M 1
         amps = probe.amplitudes.reshape(d, d)
         v = amps.sum(axis=1)
-        probe_exact = trace_norm(np.outer(v, v.conj()) - amps @ amps.conj().T) / len(free)
+        x = np.outer(v, v.conj()) - amps @ amps.conj().T
+        probe_exact = trace_norm(x) / len(free)
         exact = max(exact, probe_exact)
         norm = 2.0 * probe_exact
-        if n_perm is not None or (i == 0 and message_bits == 1):
+        if n_perm is not None:
+            # the sampled channel's own witness
             rho = probe.to_density()
-            delta = _channel_image(enc, rho, message_bits) - _channel_image(
-                ideal, rho, message_bits
+            norm = trace_norm(
+                _channel_image(enc, rho, message_bits) - _channel_image(ideal, rho, message_bits)
             )
-            if n_perm is not None:
-                # the sampled channel's own witness
-                norm = trace_norm(delta)
-            else:
-                # 2^m times the (ref=0, ref=1) block of the difference
-                chi = d * delta.reshape(d, enc.out_dim, d, enc.out_dim)[0, :, 1, :]
-                if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
-                    raise AssertionError("coherence block is not Hermitian")
-                eigs = np.linalg.eigvalsh(chi)
-                chi_eigs = tuple(float(e) for e in eigs)
-                chi_norm = float(np.sum(np.abs(eigs)))
+        elif i == 0 and message_bits == 1:
+            # 2^m times the (ref=0, ref=1) block of the difference: X[0, 1] times
+            # the exact channel's image of |0><1|, which the ideal one zeroes
+            chi = d * x[0, 1] * avg_permutation_channel(1, tau, taken).pair_action(0, 1)
+            if np.max(np.abs(chi - chi.conj().T)) > 1e-9:
+                raise AssertionError("coherence block is not Hermitian")
+            eigs = np.linalg.eigvalsh(chi)
+            chi_eigs = tuple(float(e) for e in eigs)
+            chi_norm = float(np.sum(np.abs(eigs)))
         if norm > worst_norm:
             worst_norm = norm
             worst_name = name

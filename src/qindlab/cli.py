@@ -209,7 +209,6 @@ def _check_wire_budget(game: str, scheme: schemes.ClassicalScheme) -> None:
     # gqind peaks at max(two message registers, ciphertext) because the
     # unchosen register is measured away before the ancilla attach
     need = {
-        "ind": m + ell,
         "fqind": 2 * m + ell,
         "qind": ell,
         "gqind": max(2 * m, ell),
@@ -294,19 +293,15 @@ def cmd_secure(cfg: dict) -> tuple[dict, int]:
 
 
 def cmd_lemma(cfg: dict) -> tuple[dict, int]:
-    m, tau = cfg["m"], cfg["tau"]
-    taken = cfg["taken"]
+    m, tau, taken = cfg["m"], cfg["tau"], cfg["taken"]
     exact = cfg["mode"] == "exact"
     samples = cfg["samples"] if cfg.get("samples") is not None else (1 if exact else 500)
     cfg["samples"] = samples
     seed = _resolve_seed(cfg, required=(not exact) or samples > 1)
     n_perm = None if exact else cfg["n_perm"]
-    if taken:
-        report = channels.certify_corollary_bound(
-            m, tau, taken, samples=samples, n_perm=n_perm, seed=seed
-        )
-    else:
-        report = channels.certify_lemma_bound(m, tau, samples=samples, n_perm=n_perm, seed=seed)
+    report = channels.certify_corollary_bound(
+        m, tau, taken, samples=samples, n_perm=n_perm, seed=seed
+    )
     results = asdict(report)
     results["bound_kind"] = "taken-excluded" if taken else "taken-free"
     return results, 0 if report.satisfied else 1

@@ -15,12 +15,12 @@ Four games:
          allowed); the challenger measures out the unchosen register and
          discards the outcome.
 
-Adversaries are stateless factories (AdversaryStrategy); ``start`` yields a
-per-trial instance whose optional hooks the challenger calls: ``learn``
-(given a learning oracle), one of ``{game}_template``, ``receive_challenge``
-and ``final_guess``. The challenger never exposes the challenge bit or any
-b-dependent data beyond the prescribed response registers; winning always
-means guess == challenge bit.
+Adversaries are stateless factories (AdversaryStrategy) declaring the games
+they play; ``start`` yields a per-trial instance whose hooks the challenger
+calls: ``learn`` if present (given a learning oracle), ``{game}_template``,
+``receive_challenge`` and ``final_guess``. The challenger never exposes the
+challenge bit or any b-dependent data beyond the prescribed response
+registers; winning always means guess == challenge bit.
 
 All four share one challenger skeleton; only the learning oracle, the
 template checks and the challenge step differ. Every trial consumes
@@ -28,11 +28,11 @@ randomness only from its own Generator, and estimate_advantage derives one
 child seed per trial up front, so aggregates are reproducible.
 
 Inputs are checked before any draw that uses them, and refused with
-GameSetupError: forced b and r before the key, a learning query's registers
-and plaintext before its r, the template before b. Integers (b, r,
-plaintexts, the guess) pass ``quantum_core._check_index``, so 1.5 and 1.0
-are refused, not truncated; registers have their sizes, and all their wires
-pass one ``_check_wires`` together, so they are disjoint.
+GameSetupError: the strategy's games and forced b and r before the key, a
+learning query's registers and plaintext before its r, the template before
+b. Integers (b, r, plaintexts, the guess, each wire) pass ``_check_index``,
+so 1.5 and 1.0 are refused, not truncated; registers have their sizes, and
+their wires pass one ``_check_registers`` together, so they are disjoint.
 """
 
 from __future__ import annotations
@@ -149,6 +149,13 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
+def _check_registers(num_wires: int, wires: tuple) -> None:
+    """Every wire an integer in [0, num_wires), no wire twice; read, not rewritten."""
+    for w in wires:
+        _check_index(w, "wire", num_wires)
+    _check_wires(num_wires, wires)
+
+
 def _fresh_randomness(scheme: ClassicalScheme, rng: np.random.Generator) -> int:
     return int(rng.integers(2**scheme.randomness_bits))
 
@@ -188,7 +195,7 @@ class Type1LearningOracle(_LearningOracle):
         m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
         if len(message_wires) != m or len(response_wires) != ell:
             raise GameSetupError(f"type-1 query needs {m} message and {ell} response wires")
-        _refused(_check_wires, state.num_wires, (*message_wires, *response_wires))
+        _refused(_check_registers, state.num_wires, (*message_wires, *response_wires))
         return xor_encrypt_register(
             self._scheme, self._key, self._next_r(), state, message_wires, response_wires
         )
@@ -201,9 +208,11 @@ class Type2LearningOracle(_LearningOracle):
         self, state: StateVector, message_wires: tuple[int, ...]
     ) -> tuple[StateVector, tuple[int, ...]]:
         """Returns the new state and the wires now holding the ciphertext."""
-        m = self._scheme.message_bits
+        m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
         if len(message_wires) != m:
             raise GameSetupError(f"type-2 query needs {m} message wires")
+        # wires of the state once its ell - m ancilla wires join it
+        _refused(_check_registers, state.num_wires + ell - m, message_wires)
         _refused(_fresh_register, self._scheme, state.num_wires, message_wires)
         return encrypt_fresh_register(self._scheme, self._key, self._next_r(), state, message_wires)
 
@@ -230,7 +239,7 @@ def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
     registers = (ch.message0_wires, ch.message1_wires, ch.response_wires)
     if tuple(map(len, registers)) != (m, m, ell):
         raise GameSetupError(f"fqind registers need {m}, {m} and {ell} wires")
-    _refused(_check_wires, ch.state.num_wires, tuple(w for reg in registers for w in reg))
+    _refused(_check_registers, ch.state.num_wires, tuple(w for reg in registers for w in reg))
 
 
 def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng) -> FqindChallenge:
@@ -258,7 +267,7 @@ def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
     m = scheme.message_bits
     if len(ch.message0_wires) != m or len(ch.message1_wires) != m:
         raise GameSetupError(f"gqind message registers need {m} wires each")
-    _refused(_check_wires, ch.state.num_wires, (*ch.message0_wires, *ch.message1_wires))
+    _refused(_check_registers, ch.state.num_wires, (*ch.message0_wires, *ch.message1_wires))
 
 
 def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindResponse:
@@ -304,6 +313,8 @@ def _play(
     Draws from rng in a fixed order: key, adversary start, learning queries,
     challenge bit, challenge randomness, then the challenge step.
     """
+    if game not in strategy.games:
+        raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
     oracle_type, check, challenge = GAME_STEPS[game]
     if challenge_bit is not None:
         challenge_bit = _refused(_check_index, challenge_bit, "challenge bit", 2)
@@ -312,8 +323,6 @@ def _play(
     if key is None:
         key = scheme.gen(rng)
     adv = strategy.start(scheme, rng)
-    if not hasattr(adv, f"{game}_template"):
-        raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
     oracle = oracle_type(scheme, key, rng)
     if hasattr(adv, "learn"):
         adv.learn(oracle)
@@ -441,6 +450,8 @@ def exact_advantage(
     """
     if not hasattr(strategy, "exact_win_probability"):
         raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")
+    if _check_index(key_count, "key_count") < 1:
+        raise ValueError("key_count must be >= 1")
     rng = np.random.default_rng([0x5EED, seed])
     keys = distinct_keys(scheme, key_count, rng)
     space = 2**scheme.randomness_bits

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from qindlab import channels
 from qindlab.channels import (
     BoundReport,
     _channel_image,
@@ -20,6 +21,7 @@ from qindlab.channels import (
 )
 from qindlab.quantum_core import (
     DensityMatrix,
+    StateVector,
     apply_unitary,
     hadamard_all,
     maximally_entangled,
@@ -175,6 +177,30 @@ def test_lemma_certificate_exhaustive_small_case():
     evals = np.sort(report.chi_c_eigenvalues)
     c = 1 / 12
     assert np.allclose(evals, [-c, -c, -c, 3 * c], atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "tau,taken",
+    [(0, ()), (1, ()), (3, ()), (2, (1, 6)), (3, (0, 5, 9, 14)), (4, tuple(range(1, 30)))],
+)
+def test_exact_one_bit_certificate_applies_no_channel(monkeypatch, tau, taken):
+    # the dense reference: twice the (ref=0, ref=1) block of the difference
+    # of both channels applied to the maximally entangled probe
+    rho = maximally_entangled(1).to_density()
+    enc, ideal = avg_permutation_channel(1, tau, taken), constant_mixed_channel(1, tau, taken)
+    n = enc.out_dim
+    images = (apply_channel_bipartite(ch, rho, 1).matrix for ch in (enc, ideal))
+    eigs = np.linalg.eigvalsh(2 * np.subtract(*images)[:n, n:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact certificate applied a channel")
+
+    for name in ("_channel_image", "constant_mixed_channel"):
+        monkeypatch.setattr(channels, name, refuse)
+    monkeypatch.setattr(StateVector, "to_density", refuse)
+    report = certify_corollary_bound(1, tau, taken, samples=1)
+    assert report.chi_c_eigenvalues == tuple(float(e) for e in eigs)
+    assert report.chi_c_trace_norm == float(np.sum(np.abs(eigs)))
 
 
 def test_lemma_certificate_sampled_run_is_satisfied():

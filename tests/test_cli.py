@@ -122,12 +122,12 @@ def test_lemma_taken_outputs_flow_through(capsys):
 def test_lemma_exit_1_when_not_satisfied(capsys, monkeypatch):
     import dataclasses
 
-    real = cli.channels.certify_lemma_bound
+    real = cli.channels.certify_corollary_bound
 
     def fake(*args, **kwargs):
         return dataclasses.replace(real(1, 1, samples=1), satisfied=False)
 
-    monkeypatch.setattr(cli.channels, "certify_lemma_bound", fake)
+    monkeypatch.setattr(cli.channels, "certify_corollary_bound", fake)
     code, out, _ = run_cli(
         capsys, ["lemma", "--m", "1", "--tau", "1", "--mode", "exact", "--no-timing"]
     )

@@ -14,8 +14,10 @@ from qindlab.games import (
     GAME_RUNNERS,
     AdversaryStrategy,
     ConstantGuesser,
+    FqindChallenge,
     GameOutcome,
     GameSetupError,
+    GqindChallenge,
     RandomGuesser,
     Type1LearningOracle,
     Type2LearningOracle,
@@ -29,7 +31,14 @@ from qindlab.games import (
     with_learning_queries,
 )
 from qindlab.channels import certify_corollary_bound
-from qindlab.quantum_core import H, StateVector, state_from_bits, zero_state
+from qindlab.quantum_core import (
+    H,
+    X,
+    StateDescription,
+    StateVector,
+    state_from_bits,
+    zero_state,
+)
 from qindlab.schemes import (
     block_scheme,
     constant_prf,
@@ -132,6 +141,15 @@ def test_estimate_advantage_interval_contains_rate():
     assert est.method == "hoeffding"
     assert est.wins is not None
     assert est.advantage == pytest.approx(2 * est.win_rate - 1)
+
+
+def test_exact_advantage_refuses_before_evaluating():
+    # key_count=0 warned "Mean of empty slice", then failed on the win rate
+    scheme = prf_scheme(2, 1)
+    with pytest.raises(ValueError, match="key_count must be >= 1"):
+        exact_advantage(scheme, qlp_distinguisher(), key_count=0)
+    with pytest.raises(GameSetupError, match="has no exact evaluator"):
+        exact_advantage(scheme, RandomGuesser())
 
 
 def test_exact_advantage_has_zero_width():
@@ -241,8 +259,24 @@ def test_type2_learning_query_refuses_repeated_and_out_of_range_wires(wires, mat
         (Type2LearningOracle, lambda o: o.query_classical("1"), "'1' is not an integer"),
         # two ancilla wires would take a 13-wire state past the cap
         (Type2LearningOracle, lambda o: o.query(zero_state(13), (0, 1)), "exceeds the cap"),
+        # float wires were counted and drawn for, then failed in the encryption
+        (
+            Type1LearningOracle,
+            lambda o: o.query(zero_state(6), (0.0, 1), (2, 3, 4, 5)),
+            "wire 0.0 is not an integer",
+        ),
+        (Type2LearningOracle, lambda o: o.query(zero_state(3), (1, 1.5)), "1.5 is not an integer"),
     ],
-    ids=["type1-distinct", "type1-range", "classical-7", "classical-1.5", "classical-str", "cap"],
+    ids=[
+        "type1-distinct",
+        "type1-range",
+        "classical-7",
+        "classical-1.5",
+        "classical-str",
+        "cap",
+        "type1-float-wire",
+        "type2-float-wire",
+    ],
 )
 def test_refused_learning_queries_leave_no_trace(oracle_type, query, match):
     # m = 2: a classical plaintext lies in [0, 4)
@@ -295,9 +329,15 @@ def test_with_learning_queries_zero_is_identity():
 
 
 def test_strategy_game_mismatch_is_reported():
+    # the strategy's declared games decide, before the key is drawn: bz
+    # builds a qind template but does not play qind
     scheme = prf_scheme(2, 1)
-    with pytest.raises(GameSetupError, match="does not play"):
-        run_fqind_qcpa(scheme, CiphertextReader(), np.random.default_rng(0))
+    for runner, strategy in ((run_fqind_qcpa, CiphertextReader()), (run_qind_qcpa, bz_adversary())):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(GameSetupError, match="does not play"):
+            runner(scheme, strategy, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_forced_challenge_arguments_are_honored():
@@ -392,6 +432,85 @@ def test_plaintexts_and_guesses_must_be_integers(value):
     outcomes = [run_ind_qcpa(scheme, a, np.random.default_rng(5)) for a in (plain, numpy)]
     assert outcomes[0] == outcomes[1] and type(outcomes[1].guess) is int
     assert (plain.learned, plain.ciphertext) == (numpy.learned, numpy.ciphertext)
+
+
+def test_padding_keeps_the_inner_learning_queries():
+    scheme, inner = prf_scheme(2, 2), ScriptedInd(query=2)
+    out = run_ind_qcpa(scheme, with_learning_queries(inner, 3), np.random.default_rng(5), key=6)
+    # the three padding queries come first, then the strategy's own
+    assert out.query_count == 4 and len(out.randomness_used) == 5
+    assert inner.learned == int(scheme.enc(6, out.randomness_used[3], 2))
+
+
+class SendsTemplate(AdversaryStrategy):
+    """Plays one game with a fixed template, keeps the response, guesses 0."""
+
+    name = "sends-template"
+
+    def __init__(self, game, template):
+        self.games, self.template = (game,), template
+
+    def start(self, scheme, rng):
+        return self
+
+    def fqind_template(self):
+        return self.template
+
+    qind_template = gqind_template = fqind_template
+
+    def receive_challenge(self, response):
+        self.response = response
+
+    def final_guess(self):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "game,template,match",
+    [
+        ("fqind", FqindChallenge(zero_state(4), (0,), (1,), (2,)), "need 1, 1 and 2 wires"),
+        ("fqind", FqindChallenge(zero_state(4), (0.0,), (1,), (2, 3)), "0.0 is not an integer"),
+        ("qind", (StateDescription(1), StateDescription(2)), "cover exactly 1 wires"),
+        ("gqind", GqindChallenge(zero_state(3), (0, 1), (2,)), "need 1 wires each"),
+        ("gqind", GqindChallenge(zero_state(2), (0,), (np.float64(1.0),)), "is not an integer"),
+    ],
+    ids=["fqind-size", "fqind-float-wire", "qind-size", "gqind-size", "gqind-float-wire"],
+)
+def test_malformed_templates_are_refused_before_the_challenge_draws(game, template, match):
+    # with the key given and no learning phase, the template check is the
+    # last step before b is drawn; float wires used to draw b and r first
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(GameSetupError, match=match):
+        GAME_RUNNERS[game](prf_scheme(1, 1), SendsTemplate(game, template), rng, key=3)
+    assert rng.bit_generator.state == state
+
+
+def test_numpy_integer_wires_play_as_plain_ones():
+    scheme = prf_scheme(1, 1)
+    templates = {
+        "fqind": lambda w: FqindChallenge(zero_state(4), (w(0),), (w(1),), (w(2), w(3))),
+        "gqind": lambda w: GqindChallenge(zero_state(3), (w(0),), (w(2),)),
+    }
+    for game, template in templates.items():
+        plays = [SendsTemplate(game, template(w)) for w in (int, np.int64)]
+        outcomes = [GAME_RUNNERS[game](scheme, p, np.random.default_rng(6)) for p in plays]
+        assert outcomes[0] == outcomes[1]
+        a, b = (p.response.state.amplitudes for p in plays)
+        assert np.array_equal(a, b)
+
+
+def test_qind_rebuilds_a_mixed_description_one_component_per_trial():
+    scheme = prf_scheme(1, 1)
+    mixed = StateDescription(1, mixture=((0.5, ()), (0.5, (X(0),))))
+    probe = SendsTemplate("qind", (mixed, StateDescription(1)))
+    seen = set()
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        run_qind_qcpa(scheme, probe, rng, key=3, challenge_bit=0, challenge_randomness=1)
+        seen.add(_basis_index(probe.response))
+    # the component is drawn per trial: both plaintexts arrive encrypted
+    assert seen == {int(scheme.enc(3, 1, x)) for x in (0, 1)}
 
 
 @pytest.mark.parametrize(
@@ -591,7 +710,7 @@ def test_encryption_steps_hold_their_output_and_one_index():
     scheme = prf_scheme(3, 5)
     m, ell = scheme.message_bits, scheme.ciphertext_bits
     rng = np.random.default_rng(2)
-    template = attacks._mask_template(m, ell)
+    template = bz_adversary().template(scheme, "fqind")
     vec = rng.normal(size=2**9) + 1j * rng.normal(size=2**9)
     steps = [
         lambda message=message: oracles.xor_encrypt_register(

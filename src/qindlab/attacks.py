@@ -14,10 +14,11 @@ attack declares only its data:
   register 1 for fqind, the ciphertext register for qind and gqind);
 * the scheme check it makes before a trial, which also fixes those positions.
 
-HadamardTest plays and scores them all from p0: one cache builds every
-template, one trial class hands them out for the games the attack declares,
-and one exact evaluator replays the game's own challenge step for both
-challenge bits, with no sampling anywhere.
+HadamardTest plays and scores them all from p0: the games' one template
+cache, ``games._template``, builds every template from the qind pair, one
+trial class hands them out for the games the attack declares, and one exact
+evaluator replays the game's own challenge step for both challenge bits,
+with no sampling anywhere.
 
 Four attacks, each with a closed-form expected win rate where one is known:
 
@@ -47,7 +48,6 @@ Four attacks, each with a closed-form expected win rate where one is known:
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -57,20 +57,11 @@ from .games import (
     AdversaryStrategy,
     FqindChallenge,
     GameSetupError,
-    GqindChallenge,
     GqindResponse,
+    _FixedTrial,
+    _template,
 )
-from .quantum_core import (
-    CNOT,
-    H,
-    StateDescription,
-    StateVector,
-    X,
-    _check_index,
-    _register_view,
-    run_gates,
-    zero_state,
-)
+from .quantum_core import CNOT, H, StateDescription, X, _check_index, _register_view
 from .schemes import ClassicalScheme, is_quasi_length_preserving
 
 
@@ -91,24 +82,13 @@ def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
     return np.vdot(rest, rest).real / 2 ** len(wires), np.vdot(amps, amps).real
 
 
-class _HadamardTrial:
+class _HadamardTrial(_FixedTrial):
     """One trial of a HadamardTest; the challenger asks only for its games' templates."""
 
     def __init__(self, attack: HadamardTest, scheme: ClassicalScheme, rng) -> None:
-        self._attack = attack
-        self._scheme = scheme
+        super().__init__(attack, scheme, rng)
         self._tested = attack.tested_wires(scheme)
-        self._rng = rng
         self._guess: int | None = None
-
-    def fqind_template(self) -> FqindChallenge:
-        return self._attack.template(self._scheme, "fqind")
-
-    def qind_template(self) -> tuple[StateDescription, StateDescription]:
-        return self._attack.template(self._scheme, "qind")
-
-    def gqind_template(self) -> GqindChallenge:
-        return self._attack.template(self._scheme, "gqind")
 
     def receive_challenge(self, response) -> None:
         # measuring the tested wires draws 0 iff one uniform is below p0 / total
@@ -169,22 +149,6 @@ class HadamardTest(AdversaryStrategy):
         # per challenge bit, the weight of every tested wire measuring zero
         p0, p1 = (float(_zero_weight(x, tested)[0]) for x in responses)
         return 0.5 * (p0 + 1.0 - p1)
-
-
-@functools.lru_cache(maxsize=64)
-def _template(attack: HadamardTest, game: str, m: int, ell: int):
-    """What ``attack`` sends in ``game`` at m message and ell ciphertext bits:
-    its qind pair, or the pair's product state on two m-wire registers, then
-    in fqind an ell-wire |0> response. Immutable, so built once and shared."""
-    pair = attack.descriptions(m)
-    if game == "qind":
-        return pair
-    amps = np.kron(*(run_gates(m, d.gates).amplitudes for d in pair))
-    registers = tuple(range(m)), tuple(range(m, 2 * m))
-    if game == "gqind":
-        return GqindChallenge(StateVector(2 * m, amps), *registers)
-    state = StateVector(2 * m + ell, np.kron(amps, zero_state(ell).amplitudes))
-    return FqindChallenge(state, *registers, tuple(range(2 * m, 2 * m + ell)))
 
 
 # -- superposition-mask attack (fqind) ------------------------------------------

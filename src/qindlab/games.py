@@ -30,9 +30,14 @@ child seed per trial up front, so aggregates are reproducible.
 Inputs are checked before any draw that uses them, and refused with
 GameSetupError: the strategy's games and forced b and r before the key, a
 learning query's registers and plaintext before its r, the template before
-b. Integers (b, r, plaintexts, the guess, each wire) pass ``_check_index``,
-so 1.5 and 1.0 are refused, not truncated; registers have their sizes, and
-their wires pass one ``_check_registers`` together, so they are disjoint.
+b. Integers (b, r, plaintexts, the guess) pass ``_check_index``, so 1.5
+and 1.0 are refused, not truncated; registers have their sizes, and their
+wires pass one ``_check_wires`` together, which reads each wire the same way
+and keeps them disjoint.
+
+A strategy whose templates are fixed declares its qind pair as
+``descriptions(m)``; ``_template`` builds every fixed template from that pair
+once, and every trial of every such strategy shares it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .quantum_core import (
     _check_index,
     _check_wires,
     measure_and_remove,
+    run_gates,
     sample_description,
     zero_state,
 )
@@ -149,13 +155,6 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
-def _check_registers(num_wires: int, wires: tuple) -> None:
-    """Every wire an integer in [0, num_wires), no wire twice; read, not rewritten."""
-    for w in wires:
-        _check_index(w, "wire", num_wires)
-    _check_wires(num_wires, wires)
-
-
 def _fresh_randomness(scheme: ClassicalScheme, rng: np.random.Generator) -> int:
     return int(rng.integers(2**scheme.randomness_bits))
 
@@ -195,7 +194,7 @@ class Type1LearningOracle(_LearningOracle):
         m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
         if len(message_wires) != m or len(response_wires) != ell:
             raise GameSetupError(f"type-1 query needs {m} message and {ell} response wires")
-        _refused(_check_registers, state.num_wires, (*message_wires, *response_wires))
+        _refused(_check_wires, state.num_wires, (*message_wires, *response_wires))
         return xor_encrypt_register(
             self._scheme, self._key, self._next_r(), state, message_wires, response_wires
         )
@@ -208,11 +207,9 @@ class Type2LearningOracle(_LearningOracle):
         self, state: StateVector, message_wires: tuple[int, ...]
     ) -> tuple[StateVector, tuple[int, ...]]:
         """Returns the new state and the wires now holding the ciphertext."""
-        m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
+        m = self._scheme.message_bits
         if len(message_wires) != m:
             raise GameSetupError(f"type-2 query needs {m} message wires")
-        # wires of the state once its ell - m ancilla wires join it
-        _refused(_check_registers, state.num_wires + ell - m, message_wires)
         _refused(_fresh_register, self._scheme, state.num_wires, message_wires)
         return encrypt_fresh_register(self._scheme, self._key, self._next_r(), state, message_wires)
 
@@ -239,7 +236,7 @@ def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
     registers = (ch.message0_wires, ch.message1_wires, ch.response_wires)
     if tuple(map(len, registers)) != (m, m, ell):
         raise GameSetupError(f"fqind registers need {m}, {m} and {ell} wires")
-    _refused(_check_registers, ch.state.num_wires, tuple(w for reg in registers for w in reg))
+    _refused(_check_wires, ch.state.num_wires, tuple(w for reg in registers for w in reg))
 
 
 def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng) -> FqindChallenge:
@@ -267,7 +264,7 @@ def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
     m = scheme.message_bits
     if len(ch.message0_wires) != m or len(ch.message1_wires) != m:
         raise GameSetupError(f"gqind message registers need {m} wires each")
-    _refused(_check_registers, ch.state.num_wires, (*ch.message0_wires, *ch.message1_wires))
+    _refused(_check_wires, ch.state.num_wires, (*ch.message0_wires, *ch.message1_wires))
 
 
 def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindResponse:
@@ -463,75 +460,94 @@ def exact_advantage(
     return _estimate(2 * len(probs), None, float(np.mean(probs)), 0.0)
 
 
-# -- baseline and utility strategies -------------------------------------------
+# -- fixed templates -----------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
-def _guessing_pair(m: int) -> tuple[StateDescription, StateDescription]:
-    """|0...0> against |1...1>, built once per m; trials share it."""
-    return StateDescription(m), StateDescription(m, tuple(X(w) for w in range(m)))
+def _template(strategy, game: str, m: int, ell: int):
+    """What ``strategy`` sends in ``game`` at m message and ell ciphertext
+    bits: its qind pair ``strategy.descriptions(m)``, or the pair's product
+    state on two m-wire registers, then in fqind an ell-wire |0> response.
+    Immutable, so built once and shared by every trial."""
+    pair = strategy.descriptions(m)
+    if game == "qind":
+        return pair
+    amps = np.kron(*(run_gates(m, d.gates).amplitudes for d in pair))
+    registers = tuple(range(m)), tuple(range(m, 2 * m))
+    if game == "gqind":
+        return GqindChallenge(StateVector(2 * m, amps), *registers)
+    state = StateVector(2 * m + ell, np.kron(amps, zero_state(ell).amplitudes))
+    return FqindChallenge(state, *registers, tuple(range(2 * m, 2 * m + ell)))
 
 
-class _GuessingTrial:
-    """Game-agnostic challenge templates for strategies that only guess.
+class _FixedTrial:
+    """One trial of a strategy with a ``descriptions(m)`` pair: its fqind,
+    qind and gqind templates come from ``_template``."""
 
-    Guesses ``bit`` when one is given, else a fair coin from rng.
-    """
-
-    def __init__(self, scheme: ClassicalScheme, rng: np.random.Generator, bit: int | None) -> None:
-        self._m = scheme.message_bits
-        self._ell = scheme.ciphertext_bits
+    def __init__(self, strategy, scheme: ClassicalScheme, rng: np.random.Generator) -> None:
+        self._strategy = strategy
+        self._scheme = scheme
         self._rng = rng
-        self._bit = bit
 
-    def ind_template(self) -> tuple[int, int]:
-        return 0, 2**self._m - 1
-
-    def qind_template(self) -> tuple[StateDescription, StateDescription]:
-        return _guessing_pair(self._m)
+    def _fixed(self, game: str):
+        scheme = self._scheme
+        return _template(self._strategy, game, scheme.message_bits, scheme.ciphertext_bits)
 
     def fqind_template(self) -> FqindChallenge:
-        m, ell = self._m, self._ell
-        return FqindChallenge(
-            zero_state(2 * m + ell),
-            tuple(range(m)),
-            tuple(range(m, 2 * m)),
-            tuple(range(2 * m, 2 * m + ell)),
-        )
+        return self._fixed("fqind")
+
+    def qind_template(self) -> tuple[StateDescription, StateDescription]:
+        return self._fixed("qind")
 
     def gqind_template(self) -> GqindChallenge:
-        m = self._m
-        return GqindChallenge(zero_state(2 * m), tuple(range(m)), tuple(range(m, 2 * m)))
+        return self._fixed("gqind")
+
+
+# -- baseline and utility strategies -------------------------------------------
+
+
+class _Guesser(AdversaryStrategy):
+    """Sends |0...0> against |1...1> in every game, ignores the response and
+    guesses ``bit`` when one is set, else a fair coin from the trial's rng."""
+
+    games = GAME_NAMES
+    bit: int | None = None
+
+    def descriptions(self, m: int) -> tuple[StateDescription, StateDescription]:
+        return StateDescription(m), StateDescription(m, tuple(X(w) for w in range(m)))
+
+    def start(self, scheme, rng):
+        return _GuessingTrial(self, scheme, rng)
+
+
+class _GuessingTrial(_FixedTrial):
+    """One trial of a _Guesser: ind sends the plaintexts 0 and 2^m - 1."""
+
+    def ind_template(self) -> tuple[int, int]:
+        return 0, 2**self._scheme.message_bits - 1
 
     def receive_challenge(self, response) -> None:
         pass
 
     def final_guess(self) -> int:
-        return int(self._rng.integers(2)) if self._bit is None else self._bit
+        bit = self._strategy.bit
+        return int(self._rng.integers(2)) if bit is None else bit
 
 
-class RandomGuesser(AdversaryStrategy):
+class RandomGuesser(_Guesser):
     """Ignores everything and flips a fair coin; advantage 0 by construction."""
 
     name = "random"
-    games = GAME_NAMES
-
-    def start(self, scheme, rng):
-        return _GuessingTrial(scheme, rng, None)
 
 
-class ConstantGuesser(AdversaryStrategy):
+class ConstantGuesser(_Guesser):
     """Queries nothing and always outputs the same bit; wins iff b matches."""
 
     name = "constant"
-    games = GAME_NAMES
 
     def __init__(self, bit: int = 0) -> None:
         self.bit = _refused(_check_index, bit, "bit", 2)
         self.name = f"constant{self.bit}"
-
-    def start(self, scheme, rng):
-        return _GuessingTrial(scheme, rng, self.bit)
 
 
 class _PaddedTrial:

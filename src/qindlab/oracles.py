@@ -141,13 +141,13 @@ def xor_encrypt_register(
     gather if the response run follows the message run, one per x into output
     slices if a gap parts them, else one through a transposed copy.
     """
-    enc = _enc_table(scheme, key, _check_randomness(scheme, r))
     message_wires, response_wires = tuple(message_wires), tuple(response_wires)
     n, m, ell = state.num_wires, scheme.message_bits, scheme.ciphertext_bits
     for wires, want in ((message_wires, m), (response_wires, ell)):
         if len(wires) != want:
             raise ValueError(f"expected {want} wires, got {len(wires)}")
     _check_wires(n, message_wires + response_wires)
+    enc = _enc_table(scheme, key, _check_randomness(scheme, r))
     rows = np.arange(2**ell) ^ enc[:, None]  # rows[x, y] = y ^ Enc(x)
     first, second = (
         w[0] if w and w == tuple(range(w[0], w[0] + len(w))) else None
@@ -189,8 +189,8 @@ def encrypt_fresh_register(
     ancilla wires], and returns it with that register's wires. Raises
     ValueError for bad wires or an Enc not injective into ell bits.
     """
-    enc = _enc_table(scheme, key, _check_randomness(scheme, r), injective=True)
     total, wires = _fresh_register(scheme, state.num_wires, message_wires)
+    enc = _enc_table(scheme, key, _check_randomness(scheme, r), injective=True)
     rest, x_of, deposit = _fresh_layout(state.num_wires, wires)
     out = np.zeros(2**total, dtype=np.complex128)
     out[deposit[enc][x_of] | rest] = state.amplitudes
@@ -199,12 +199,13 @@ def encrypt_fresh_register(
 
 def _fresh_register(scheme: ClassicalScheme, num_wires: int, message_wires):
     """The wire count once ell - m ancilla wires join a ``num_wires``-wire
-    state, and the register [message wires | ancilla] they make; checked."""
+    state, and the register [message wires | ancilla] they make. Checks the
+    message wires against the state they come from, then the wire cap."""
+    message_wires = tuple(message_wires)
+    _check_wires(num_wires, message_wires, scheme.message_bits)
     total = num_wires + scheme.ciphertext_bits - scheme.message_bits
     _check_wire_count(total)
-    wires = tuple(message_wires) + tuple(range(num_wires, total))
-    _check_wires(total, wires, scheme.ciphertext_bits)
-    return total, wires
+    return total, message_wires + tuple(range(num_wires, total))
 
 
 def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:

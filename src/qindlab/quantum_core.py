@@ -61,6 +61,17 @@ def _check_wire_count(num_wires: int) -> None:
         raise ValueError(f"num_wires {num_wires} exceeds the cap of {WIRE_CAP}")
 
 
+def _check_wires(num_wires: float, wires: tuple[int, ...], expected: int | None = None) -> None:
+    """``expected`` wires if given, each an integer in [0, num_wires) read
+    through ``_check_index``, and no wire twice; validated, not rewritten."""
+    if expected is not None and len(wires) != expected:
+        raise ValueError(f"expected {expected} wires, got {len(wires)}")
+    for w in wires:
+        _check_index(w, "wire", num_wires)
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"wires must be distinct, got {wires}")
+
+
 def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.shape != shape:
@@ -184,11 +195,9 @@ class Gate:
     def __post_init__(self) -> None:
         if self.name not in _GATE_ARITY:
             raise ValueError(f"unknown gate {self.name!r}; supported: {sorted(_GATE_ARITY)}")
-        object.__setattr__(self, "wires", tuple(_check_index(w, "gate wire") for w in self.wires))
-        if len(self.wires) != _GATE_ARITY[self.name]:
-            raise ValueError(f"gate {self.name} takes {_GATE_ARITY[self.name]} wire(s)")
-        if len(set(self.wires)) != len(self.wires):
-            raise ValueError(f"gate {self.name} wires must be distinct")
+        wires = tuple(self.wires)
+        _check_wires(math.inf, wires, _GATE_ARITY[self.name])
+        object.__setattr__(self, "wires", tuple(map(int, wires)))
 
 
 def H(wire: int) -> Gate:
@@ -239,8 +248,7 @@ class StateDescription:
             object.__setattr__(self, "mixture", entries)
         for _, gates in self.components():
             for gate in gates:
-                if any(w < 0 or w >= self.num_wires for w in gate.wires):
-                    raise ValueError(f"gate {gate} out of range for {self.num_wires} wires")
+                _check_wires(self.num_wires, gate.wires)
 
     def components(self) -> tuple[tuple[float, tuple[Gate, ...]], ...]:
         if self.mixture is not None:
@@ -262,6 +270,7 @@ def state_from_bits(bits: str) -> StateVector:
 
 
 def zero_state(num_wires: int) -> StateVector:
+    _check_wire_count(num_wires)
     return state_from_bits("0" * num_wires)
 
 
@@ -298,15 +307,6 @@ def _gate_unitary(name: str) -> UnitaryOperator:
 
 
 # -- application ------------------------------------------------------------
-
-
-def _check_wires(num_wires: int, wires: tuple[int, ...], expected: int | None = None) -> None:
-    if expected is not None and len(wires) != expected:
-        raise ValueError(f"expected {expected} wires, got {len(wires)}")
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"wires must be distinct, got {wires}")
-    if any(w < 0 or w >= num_wires for w in wires):
-        raise ValueError(f"wires {wires} out of range for {num_wires}-wire state")
 
 
 @functools.lru_cache(maxsize=None)
@@ -512,9 +512,10 @@ def trace_distance(a: DensityMatrix | StateVector, b: DensityMatrix | StateVecto
 # -- descriptions and random states ------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def run_gates(num_wires: int, gates: tuple[Gate, ...]) -> StateVector:
-    """Run a gate list from |0...0>; the state is immutable, so callers share it."""
+    """Run a gate list from |0...0>; the state is immutable, so callers share it.
+    Typed, so a count of 2.0 is refused rather than served 2's state."""
     state = zero_state(num_wires)
     for gate in gates:
         state = apply_unitary(_gate_unitary(gate.name), state, gate.wires)

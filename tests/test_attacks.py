@@ -20,6 +20,7 @@ from qindlab.attacks import (
 from qindlab.games import (
     GAME_RUNNERS,
     GAME_STEPS,
+    ConstantGuesser,
     FqindChallenge,
     GameSetupError,
     GqindResponse,
@@ -250,6 +251,8 @@ def test_trials_share_one_unchanged_template(monkeypatch):
         (qlp_distinguisher(), "gqind", prf_scheme(2, 1)),
         (qlp_distinguisher(), "qind", prf_scheme(2, 2)),
         (RandomGuesser(), "qind", prf_scheme(2, 2)),
+        (RandomGuesser(), "fqind", prf_scheme(2, 2)),
+        (ConstantGuesser(1), "gqind", prf_scheme(2, 1)),
     )
     for strategy, game, scheme in cases:
         oracle, check, challenge = GAME_STEPS[game]

@@ -116,6 +116,42 @@ def test_constant_guesser_wins_exactly_the_matching_bit():
             assert out.challenge_bit == b and out.guess in (0, 1) and out.query_count == 0
 
 
+# (game, guesser, seed, b, guess, r, PCG64 state, has_uint32, uinteger) after
+# one trial on prf_scheme(2, 1). A guess ignores the response and gqind's
+# measure-out draws one uniform whatever the state, so the guessers'
+# templates may change without moving any of these.
+GUESSER_TRIALS = [
+    ("fqind", "random", 0, 1, 0, 1, 143609658456486183636066271097634410721, 0, 1158725112),
+    ("fqind", "random", 1, 1, 1, 1, 132289089894194688499898990827882008816, 0, 4082210491),
+    ("fqind", "random", 2, 0, 0, 0, 126889499338173139678050600050083445318, 0, 1282009699),
+    ("fqind", "constant1", 0, 1, 1, 1, 143609658456486183636066271097634410721, 1, 1158725112),
+    ("fqind", "constant1", 1, 1, 1, 1, 132289089894194688499898990827882008816, 1, 4082210491),
+    ("fqind", "constant1", 2, 0, 1, 0, 126889499338173139678050600050083445318, 1, 1282009699),
+    ("gqind", "random", 0, 1, 0, 1, 18792671013009471063546316241193924174, 0, 1158725112),
+    ("gqind", "random", 1, 1, 1, 1, 236658695069053534921881806884699931691, 0, 4082210491),
+    ("gqind", "random", 2, 0, 0, 0, 114197255155374232472765730509001774285, 0, 1282009699),
+    ("gqind", "constant1", 0, 1, 1, 1, 18792671013009471063546316241193924174, 1, 1158725112),
+    ("gqind", "constant1", 1, 1, 1, 1, 236658695069053534921881806884699931691, 1, 4082210491),
+    ("gqind", "constant1", 2, 0, 1, 0, 114197255155374232472765730509001774285, 1, 1282009699),
+]
+
+
+@pytest.mark.parametrize("game,name,seed,b,guess,r,state,has_uint32,uinteger", GUESSER_TRIALS)
+def test_guessers_keep_their_outcomes_and_draws(
+    game, name, seed, b, guess, r, state, has_uint32, uinteger
+):
+    strategy = RandomGuesser() if name == "random" else ConstantGuesser(1)
+    rng = np.random.default_rng(seed)
+    out = GAME_RUNNERS[game](prf_scheme(2, 1), strategy, rng)
+    assert out == GameOutcome(game, b, guess, guess == b, (r,), 0)
+    after = rng.bit_generator.state
+    assert (after["state"]["state"], after["has_uint32"], after["uinteger"]) == (
+        state,
+        has_uint32,
+        uinteger,
+    )
+
+
 def test_hoeffding_half_width_formula():
     n = 1000
     expected = math.sqrt(math.log(2 / 0.01) / (2 * n))
@@ -238,10 +274,16 @@ def _assert_no_trace(oracle, rng, state):
 
 @pytest.mark.parametrize(
     "wires,match",
-    [((1, 1), "distinct"), ((0, 3), "distinct"), ((0, 5), "out of range"), ((-1, 0), "out of range")],
+    [
+        ((1, 1), "distinct"),
+        ((0, 3), "out of range"),
+        ((0, 5), "out of range"),
+        ((-1, 0), "out of range"),
+    ],
 )
 def test_type2_learning_query_refuses_repeated_and_out_of_range_wires(wires, match):
-    # a three-wire state gains the ancilla wires 3 and 4, so wire 3 is taken
+    # message wires are read on the three-wire state the adversary holds: the
+    # ancilla wires 3 and 4 join it only inside the oracle
     rng = np.random.default_rng(4)
     oracle, state = Type2LearningOracle(prf_scheme(2, 2), 6, rng), rng.bit_generator.state
     with pytest.raises(GameSetupError, match=match):

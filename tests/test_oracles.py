@@ -22,7 +22,11 @@ from qindlab.quantum_core import (
     append_wires,
     apply_basis_permutation,
     apply_unitary,
+    embed_unitary,
     hadamard_all,
+    measure_and_remove,
+    measure_computational,
+    partial_trace,
     zero_state,
 )
 from qindlab.schemes import (
@@ -434,6 +438,61 @@ def test_encryption_steps_take_numpy_integer_randomness():
             lambda r: encrypt_fresh_register(scheme, 6, r, state, (4, 1))[0],
         ):
             assert np.array_equal(step(r).amplitudes, step(3).amplitudes)
+
+
+_WIRE_STATE = StateVector(4, np.arange(1, 17) / np.linalg.norm(np.arange(1, 17)))
+_WIRE_SCHEME = prf_scheme(1, 1)
+
+# (operation, int wires): every call reads its wires through one check
+_WIRE_CALLS = {
+    "apply_unitary": (lambda w, rng: apply_unitary(hadamard_all(2), _WIRE_STATE, w), (2, 1)),
+    "apply_basis_permutation": (
+        lambda w, rng: apply_basis_permutation([1, 2, 3, 0], _WIRE_STATE, w),
+        (1, 3),
+    ),
+    "EncryptionUnitary.apply": (
+        lambda w, rng: type1_unitary(_WIRE_SCHEME, 0, 1).apply(_WIRE_STATE, w),
+        (3, 1, 0),
+    ),
+    "measure_computational": (lambda w, rng: measure_computational(_WIRE_STATE, w, rng), (1,)),
+    "measure_and_remove": (lambda w, rng: measure_and_remove(_WIRE_STATE, w, rng), (1, 2)),
+    "partial_trace": (lambda w, rng: partial_trace(_WIRE_STATE.to_density(), w), (1, 3)),
+    "embed_unitary": (lambda w, rng: embed_unitary(hadamard_all(1), 3, w), (1,)),
+    "xor_encrypt_register": (
+        lambda w, rng: xor_encrypt_register(_WIRE_SCHEME, 0, 1, _WIRE_STATE, w[:1], w[1:]),
+        (0, 3, 1),
+    ),
+    "encrypt_fresh_register": (
+        lambda w, rng: encrypt_fresh_register(_WIRE_SCHEME, 0, 1, _WIRE_STATE, w),
+        (1,),
+    ),
+}
+
+
+def _values(result):
+    """The arrays and strings a call returns, in order."""
+    if isinstance(result, tuple):
+        return [v for part in result for v in _values(part)]
+    for attr in ("amplitudes", "matrix"):
+        if hasattr(result, attr):
+            return [getattr(result, attr)]
+    return [result]
+
+
+@pytest.mark.parametrize("as_float", [float, np.float64])
+@pytest.mark.parametrize("operation", sorted(_WIRE_CALLS))
+def test_float_wires_are_refused_and_numpy_integer_wires_are_plain(operation, as_float):
+    call, wires = _WIRE_CALLS[operation]
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="is not an integer"):
+        call((as_float(wires[0]),) + wires[1:], rng)
+    assert rng.bit_generator.state == before
+    want = _values(call(wires, np.random.default_rng(5)))
+    got = _values(call(tuple(map(np.int64, wires)), np.random.default_rng(5)))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_type2_unitary_needs_a_declared_completion():

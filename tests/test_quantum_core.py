@@ -59,6 +59,15 @@ def test_wire_cap_enforced():
         zero_state(WIRE_CAP + 1)
 
 
+def test_a_float_wire_count_is_refused():
+    # a count of 2.0 is not truncated, even where 2's state is already cached
+    run_gates(2, ())
+    for build in (zero_state, lambda n: run_gates(n, ())):
+        with pytest.raises(ValueError, match="num_wires must be a positive integer, got 2.0"):
+            build(2.0)
+        assert np.array_equal(build(np.int64(2)).amplitudes, build(2).amplitudes)
+
+
 def test_hadamard_all_gives_uniform_superposition():
     s = apply_unitary(hadamard_all(3), zero_state(3))
     assert np.allclose(s.amplitudes, np.full(8, 2 ** -1.5))
@@ -203,10 +212,12 @@ def test_trace_distance_triangle_inequality(a, b, c):
 @given(pure_states())
 @settings(max_examples=25, deadline=None)
 def test_pure_state_trace_distance_formula(state):
-    # for pure states the distance is sqrt(1 - |<a|b>|^2)
+    # for pure states the distance is sqrt(1 - |<a|b>|^2), which for unit
+    # vectors equals sqrt(sum_ij |a_i b_j - a_j b_i|^2 / 2); this form
+    # subtracts no nearly equal numbers when b is a up to a phase
     other = apply_unitary(hadamard_all(2), state)
-    overlap = abs(np.vdot(other.amplitudes, state.amplitudes)) ** 2
-    expected = math.sqrt(max(0.0, 1.0 - overlap))
+    a, b = state.amplitudes, other.amplitudes
+    expected = math.sqrt(0.5 * np.sum(np.abs(np.outer(a, b) - np.outer(b, a)) ** 2))
     assert trace_distance(state, other) == pytest.approx(expected, abs=1e-9)
 
 

@@ -68,7 +68,7 @@ from .schemes import ClassicalScheme, is_quasi_length_preserving
 def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
     """(p0, total): the weight of every tested position of the response
     register reading 0 after Hadamards, as a register sum, and the
-    response's squared norm."""
+    response's squared norm, as its norm check computed it."""
     if not tested:
         raise ValueError("a Hadamard test needs at least one tested wire")
     if isinstance(response, FqindChallenge):
@@ -78,8 +78,8 @@ def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
     else:
         state, register = response, range(response.num_wires)
     wires = tuple(register[i] for i in tested)
-    rest, amps = _register_view(state, wires)[0].sum(axis=1), state.amplitudes
-    return np.vdot(rest, rest).real / 2 ** len(wires), np.vdot(amps, amps).real
+    rest = _register_view(state, wires)[0].sum(axis=1)
+    return np.vdot(rest, rest).real / 2 ** len(wires), state._squared_norm
 
 
 class _HadamardTrial(_FixedTrial):

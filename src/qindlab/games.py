@@ -273,16 +273,10 @@ def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindRespons
     drop = ch.message0_wires if b else ch.message1_wires
     # trace out the unchosen register: measure, discard the outcome, delete
     _, state = measure_and_remove(ch.state, drop, rng)
-
-    def shifted(w: int) -> int:
-        return w - sum(1 for d in drop if d < w)
-
-    message = tuple(shifted(w) for w in keep)
-    private = tuple(
-        shifted(w)
-        for w in range(ch.state.num_wires)
-        if w not in drop and w not in keep
-    )
+    # surviving wire remain[i] is wire i after the deletion
+    remain = [w for w in range(ch.state.num_wires) if w not in drop]
+    message = tuple(map(remain.index, keep))
+    private = tuple(i for i, w in enumerate(remain) if w not in keep)
     state, cipher_wires = encrypt_fresh_register(scheme, key, r, state, message)
     return GqindResponse(state, cipher_wires, private)
 

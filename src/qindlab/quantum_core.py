@@ -13,6 +13,12 @@ array they are given, validate it and freeze the copy. States this module
 builds itself take ownership of their freshly computed array instead: no
 copy, but the array is still frozen and its norm still checked. Randomness
 always enters through an explicitly passed ``numpy.random.Generator``.
+
+A state keeps its squared norm from the norm check that built it and, once
+measured, each register's Born weights and post-measurement states by
+outcome: measuring it again costs a draw and a search, and
+``measure_and_remove`` shares one state per repeated outcome, as ``run_gates``
+shares the states it builds.
 """
 
 from __future__ import annotations
@@ -91,7 +97,13 @@ class StateVector:
         _check_wire_count(self.num_wires)
         arr = _frozen_array(self.amplitudes, (2**self.num_wires,))
         object.__setattr__(self, "amplitudes", arr)
-        _check_norm(arr)
+        object.__setattr__(self, "_squared_norm", _check_norm(arr))
+
+    @functools.cached_property
+    def _measured(self) -> dict:
+        """Measured register -> (probabilities, cdf, {outcome: state with the
+        register removed}), filled by ``_measure_block``."""
+        return {}
 
     @property
     def dim(self) -> int:
@@ -104,10 +116,13 @@ class StateVector:
         return DensityMatrix(self.num_wires, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-def _check_norm(amplitudes: np.ndarray) -> None:
-    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
+def _check_norm(amplitudes: np.ndarray) -> np.float64:
+    """The squared norm, once its root is 1 within NORM_ATOL."""
+    squared = np.vdot(amplitudes, amplitudes).real
+    norm = math.sqrt(squared)
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
+    return squared
 
 
 def _owned_state(num_wires: int, amplitudes: np.ndarray) -> StateVector:
@@ -117,10 +132,11 @@ def _owned_state(num_wires: int, amplitudes: np.ndarray) -> StateVector:
     array is frozen and its norm checked, as the public constructor does.
     """
     amplitudes.setflags(write=False)
-    _check_norm(amplitudes)
+    squared = _check_norm(amplitudes)
     state = object.__new__(StateVector)
     object.__setattr__(state, "num_wires", num_wires)
     object.__setattr__(state, "amplitudes", amplitudes)
+    object.__setattr__(state, "_squared_norm", squared)
     return state
 
 
@@ -419,23 +435,41 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(k, np.einsum("ajbj->ab", t))
 
 
-def _measure_block(state: StateVector, wires: tuple[int, ...], rng: np.random.Generator):
-    """Draw the outcome of measuring ``wires``.
+def _measure_block(state: StateVector, wires: tuple, rng: np.random.Generator, remove=False):
+    """Measure ``wires``: the outcome, the post-measurement state (the
+    register removed if ``remove``, else collapsed in place), and the
+    register's normalized cdf and outcome probabilities.
 
-    Returns the outcome, the register view and plan of ``_register_view``,
-    and the register's outcome probabilities. The draw is the one
-    ``rng.choice(2**k, p=probs)`` makes: one uniform double searched in the
-    normalized cumulative distribution.
+    The draw is the one ``rng.choice(2**k, p=probs)`` makes: one uniform
+    double searched in the cdf. The state keeps the probabilities, the cdf
+    and each drawn outcome's state with the register removed; collapsed
+    states, 2^n amplitudes per outcome, are rebuilt.
     """
-    block, plan = _register_view(state, wires)
-    weight = np.abs(block)
-    weight *= weight
-    probs = weight.sum(axis=(0, 2))
-    probs /= probs.sum()
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
+    block = plan = None
+    if wires not in state._measured:
+        block, plan = _register_view(state, wires)
+        weight = np.abs(block)
+        weight *= weight
+        probs = weight.sum(axis=(0, 2))
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        probs.flags.writeable = cdf.flags.writeable = False
+        state._measured[wires] = probs, cdf, {}
+    probs, cdf, removed = state._measured[wires]
     outcome = int(cdf.searchsorted(rng.random(), side="right"))
-    return outcome, block, plan, probs
+    post = removed.get(outcome) if remove else None
+    if post is None:
+        if block is None:
+            block, plan = _register_view(state, wires)
+        rest = block[:, outcome] / math.sqrt(probs[outcome])
+        if remove:
+            post = removed[outcome] = _owned_state(state.num_wires - len(wires), rest.reshape(-1))
+        else:
+            collapsed = np.zeros_like(block)
+            collapsed[:, outcome] = rest
+            post = _owned_state(state.num_wires, _flat_amplitudes(collapsed, plan))
+    return outcome, post, cdf, probs
 
 
 def measure_computational(
@@ -451,12 +485,8 @@ def measure_computational(
     _check_wires(state.num_wires, wires)
     if not wires:
         raise ValueError("must measure at least one wire")
-    outcome, block, plan, probs = _measure_block(state, wires, rng)
-    post = np.zeros_like(block)
-    post[:, outcome] = block[:, outcome] / math.sqrt(probs[outcome])
-    return format(outcome, f"0{len(wires)}b"), _owned_state(
-        state.num_wires, _flat_amplitudes(post, plan)
-    )
+    outcome, post, _, _ = _measure_block(state, wires, rng)
+    return format(outcome, f"0{len(wires)}b"), post
 
 
 def measure_and_remove(
@@ -471,10 +501,8 @@ def measure_and_remove(
     _check_wires(state.num_wires, wires)
     if not 0 < len(wires) < state.num_wires:
         raise ValueError("must remove at least one wire and keep at least one")
-    k = len(wires)
-    outcome, block, _, probs = _measure_block(state, wires, rng)
-    rest = block[:, outcome] / math.sqrt(probs[outcome])
-    return format(outcome, f"0{k}b"), _owned_state(state.num_wires - k, rest.reshape(-1))
+    outcome, post, _, _ = _measure_block(state, wires, rng, remove=True)
+    return format(outcome, f"0{len(wires)}b"), post
 
 
 def append_wires(state: StateVector, count: int) -> StateVector:

@@ -25,11 +25,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .quantum_core import WIRE_CAP
+from .quantum_core import WIRE_CAP, _check_index
 
 _PRF_INPUT_CAP = 8
 # Tables are pure functions of their arguments, so an evicted table is
-# rebuilt identical; reuse is only needed within one trial's calls.
+# rebuilt identical; reuse is only needed within one trial's calls. Callers
+# check the key (``_check_index``) first: it is one of the uint32 seed words.
 _TABLE_CACHE_SIZE = 64
 
 
@@ -83,7 +84,7 @@ def is_quasi_length_preserving(scheme: ClassicalScheme) -> bool:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _prf_table(key: int, input_bits: int, output_bits: int) -> np.ndarray:
-    rng = np.random.default_rng([0x7F52, int(key), input_bits, output_bits])
+    rng = np.random.default_rng(np.array([0x7F52, key, input_bits, output_bits], np.uint32))
     table = rng.integers(0, 2**output_bits, size=2**input_bits, dtype=np.int64)
     table.setflags(write=False)
     return table
@@ -97,7 +98,7 @@ def toy_prf(input_bits: int, output_bits: int) -> KeyedFunction:
         raise ValueError(f"toy_prf tables are capped at {_PRF_INPUT_CAP} input bits")
 
     def evaluate(key, x):
-        table = _prf_table(key, input_bits, output_bits)
+        table = _prf_table(_check_index(key, "key", 2**16), input_bits, output_bits)
         return _like(x, table[np.asarray(x)] if not _is_scalar(x) else table[int(x)])
 
     return KeyedFunction(input_bits, output_bits, 16, evaluate)
@@ -129,7 +130,8 @@ class PermutationFamily:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _ideal_table(seed: int, block_bits: int) -> np.ndarray:
-    table = np.random.default_rng([0x1DEA, int(seed), block_bits]).permutation(2**block_bits)
+    words = np.array([0x1DEA, seed, block_bits], np.uint32)
+    table = np.random.default_rng(words).permutation(2**block_bits)
     table.setflags(write=False)
     return table
 
@@ -155,10 +157,10 @@ def ideal_prp_family(block_bits: int) -> PermutationFamily:
         return int(rng.integers(2**32))
 
     def forward(key, x):
-        return _like(x, _ideal_table(key, block_bits)[x])
+        return _like(x, _ideal_table(_check_index(key, "key", 2**32), block_bits)[x])
 
     def inverse(key, y):
-        return _like(y, _ideal_inverse(key, block_bits)[y])
+        return _like(y, _ideal_inverse(_check_index(key, "key", 2**32), block_bits)[y])
 
     return PermutationFamily(
         name=f"ideal-{block_bits}",
@@ -171,7 +173,7 @@ def ideal_prp_family(block_bits: int) -> PermutationFamily:
 
 
 def _feistel_round_table(key: int, rnd: int, half_bits: int) -> np.ndarray:
-    return _prf_table((int(key) << 8) | rnd, half_bits, half_bits)
+    return _prf_table((key << 8) | rnd, half_bits, half_bits)
 
 
 def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
@@ -195,12 +197,14 @@ def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
         return int(rng.integers(2**16))
 
     def forward(key, x):
+        key = _check_index(key, "key", 2**16)
         left, right = np.asarray(x) >> half, np.asarray(x) & mask
         for i in range(rounds):
             left, right = right, left ^ round_function(key, i, right)
         return _like(x, (left << half) | right)
 
     def inverse(key, y):
+        key = _check_index(key, "key", 2**16)
         left, right = np.asarray(y) >> half, np.asarray(y) & mask
         for i in reversed(range(rounds)):
             left, right = right ^ round_function(key, i, left), left

@@ -17,11 +17,13 @@ from qindlab.attacks import (
     hadamard_bit_distinguisher,
     qlp_distinguisher,
 )
+from qindlab import games
 from qindlab.games import (
     GAME_RUNNERS,
     GAME_STEPS,
     ConstantGuesser,
     FqindChallenge,
+    GameOutcome,
     GameSetupError,
     GqindResponse,
     RandomGuesser,
@@ -278,6 +280,48 @@ def test_trials_share_one_unchanged_template(monkeypatch):
         for state, amplitudes in zip(states, before):
             assert not state.amplitudes.flags.writeable
             assert np.array_equal(state.amplitudes, amplitudes)
+
+
+# gqind trials of fixed-template strategies, pinned before the templates kept
+# their Born weights: (challenge bit, guess, challenge r) per seed, and the
+# PCG64 state each trial leaves, the same for every Hadamard test at a seed
+_HADAMARD_STATES = {
+    0: 0x2252A93F51DCD7AB19751F2C132CCAAF,
+    1: 0x79F8D54CF7D32939CD53CEB84B658512,
+    3: 0xE5A4031A15D3B105AC8E123E666EBD0B,
+    17: 0x20F62222B1C62D1D1A8A8DE04BA54F43,
+}
+_GUESSER_STATES = {
+    0: 0x0E2356377830B38E5DCABB7D0E5FF64E,
+    1: 0xB20ACE86BAC3E4A573861CC8C08C842B,
+    3: 0x6AD0ECD25DD576B776695B6286E1F7FC,
+    17: 0xE97BF991F41925E3C340D8F30DCDD3A6,
+}
+_PINNED_GQIND = (
+    (qlp_distinguisher(), prf_scheme(2, 2), _HADAMARD_STATES,
+     {0: (1, 1, 2), 1: (1, 1, 3), 3: (0, 0, 0), 17: (1, 1, 0)}),
+    (qlp_distinguisher(), prf_scheme(6, 8), _HADAMARD_STATES,
+     {0: (1, 1, 130), 1: (1, 1, 193), 3: (0, 0, 45), 17: (1, 1, 27)}),
+    (hadamard_bit_distinguisher(1), prp_scheme(2, 1, ideal_prp_family(3)), _HADAMARD_STATES,
+     {0: (1, 0, 1), 1: (1, 1, 1), 3: (0, 1, 0), 17: (1, 1, 0)}),
+    (EntangledBlockProbe(2), block_scheme(prf_scheme(1, 1), 2), _HADAMARD_STATES,
+     {0: (1, 0, 2), 1: (1, 0, 3), 3: (0, 1, 0), 17: (1, 0, 0)}),
+    (RandomGuesser(), prf_scheme(2, 1), _GUESSER_STATES,
+     {0: (1, 0, 1), 1: (1, 1, 1), 3: (0, 0, 0), 17: (1, 0, 0)}),
+)
+
+
+def test_gqind_trials_match_their_pinned_outcomes_and_generator_states():
+    games._template.cache_clear()
+    for strategy, scheme, states, pinned in _PINNED_GQIND:
+        for _ in range(2):  # the template's Born weights fresh, then kept
+            for seed, (b, guess, r) in pinned.items():
+                rng = np.random.default_rng(seed)
+                outcome = run_gqind_qcpa(scheme, strategy, rng)
+                assert outcome == GameOutcome("gqind", b, guess, b == guess, (r,), 0)
+                assert rng.bit_generator.state["state"]["state"] == states[seed]
+        template = games._template(strategy, "gqind", scheme.message_bits, scheme.ciphertext_bits)
+        assert len(template.state._measured) == 2  # both registers, once each
 
 
 # -- the Hadamard test's all-zero weight as a register sum -----------------------

@@ -621,24 +621,36 @@ def test_fqind_game_runs_and_relays_all_registers():
     assert probe.seen.response_wires == (2, 3)
 
 
-def test_gqind_private_wires_survive():
-    scheme = prf_scheme(1, 1)
+@pytest.mark.parametrize(
+    "message0, message1, n",
+    [
+        ((0,), (1,), 3),  # private wire after both registers
+        ((1,), (3,), 6),  # before, between and after
+        ((4, 1), (2, 6), 8),  # interleaved, listed out of order
+        ((5, 6), (0, 3), 8),  # the second register first
+    ],
+)
+@pytest.mark.parametrize("b", [0, 1])
+def test_gqind_private_wires_survive(message0, message1, n, b):
+    m = len(message0)
+    scheme = prf_scheme(m, 1)
 
-    class KeepOne(AdversaryStrategy):
-        def __init__(self):
-            self.name = "keep-one"
-            self.games = ("gqind",)
-            self.response = None
+    class KeepPrivate(AdversaryStrategy):
+        name = "keep-private"
+        games = ("gqind",)
+        response = None
 
         def start(self, strat_scheme, rng):
             outer = self
-            from qindlab.games import GqindChallenge
-            from qindlab.quantum_core import zero_state
 
             class Trial:
                 def gqind_template(self):
-                    # wire 2 is a private workspace, wires 0 and 1 the messages
-                    return GqindChallenge(zero_state(3), (0,), (1,))
+                    # the private wires hold 1, 0, 1, ... in ascending order
+                    bits = ["0"] * n
+                    private = [w for w in range(n) if w not in message0 + message1]
+                    for w in private[::2]:
+                        bits[w] = "1"
+                    return GqindChallenge(state_from_bits("".join(bits)), message0, message1)
 
                 def receive_challenge(self, resp):
                     outer.response = resp
@@ -648,14 +660,25 @@ def test_gqind_private_wires_survive():
 
             return Trial()
 
-    probe = KeepOne()
-    run_gqind_qcpa(scheme, probe, np.random.default_rng(4))
+    probe = KeepPrivate()
+    run_gqind_qcpa(scheme, probe, np.random.default_rng(4), challenge_bit=b)
     resp = probe.response
-    # one message wire measured away, one ancilla appended: 3 wires total
-    assert resp.state.num_wires == 3
+    keep, drop = (message1, message0) if b else (message0, message1)
+
+    def shifted(w):  # the renumbering the challenger made before
+        return w - sum(1 for d in drop if d < w)
+
+    private = tuple(shifted(w) for w in range(n) if w not in drop and w not in keep)
+    # one message register measured away, the ancilla appended
+    assert resp.state.num_wires == n - m + scheme.randomness_bits
+    assert resp.ciphertext_wires[:m] == tuple(shifted(w) for w in keep)
     assert len(resp.ciphertext_wires) == scheme.ciphertext_bits
-    assert len(resp.private_wires) == 1
-    assert set(resp.ciphertext_wires) | set(resp.private_wires) == {0, 1, 2}
+    assert resp.private_wires == private
+    assert set(resp.ciphertext_wires) | set(private) == set(range(resp.state.num_wires))
+    # a basis state stays one, and the private wires keep their contents
+    index = int(np.argmax(np.abs(resp.state.amplitudes)))
+    bits = format(index, f"0{resp.state.num_wires}b")
+    assert [bits[w] for w in private] == ["1" if i % 2 == 0 else "0" for i in range(len(private))]
 
 
 def test_entangled_block_probe_needs_matching_block_count():

@@ -1,12 +1,15 @@
 """State-vector conventions, measurement, and distance measures."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qindlab import quantum_core
 from qindlab.oracles import EncryptionUnitary
 from qindlab.quantum_core import (
     CNOT,
@@ -366,6 +369,85 @@ def test_private_constructor_keeps_the_norm_and_wire_checks():
         _owned_state(1, np.array([1.0, 1.0], dtype=np.complex128))
     with pytest.raises(ValueError):
         append_wires(zero_state(WIRE_CAP), 1)
+
+
+def test_a_measured_register_keeps_its_weights_and_removed_states(monkeypatch):
+    rng = np.random.default_rng(12)
+    state = _random_state(4, rng)
+    views, real_view = [], quantum_core._register_view
+
+    def counted_view(state, wires):
+        views.append(wires)
+        return real_view(state, wires)
+
+    monkeypatch.setattr(quantum_core, "_register_view", counted_view)
+    # one register: its weights once, then one shared state per repeated outcome
+    first = _measure_block(state, (3, 1), np.random.default_rng(0), remove=True)
+    assert views == [(3, 1)]
+    for seed in range(1, 40):
+        again = _measure_block(state, (3, 1), np.random.default_rng(seed), remove=True)
+        assert again[2] is first[2] and again[3] is first[3]
+        if again[0] == first[0]:
+            assert again[1] is first[1]
+    assert len(views) == len(state._measured[(3, 1)][2]) == 4
+    assert np.allclose(first[3], _reference_marginal(state, (3, 1)), atol=1e-12)
+    assert not first[2].flags.writeable and not first[3].flags.writeable
+    # collapsed states, 2^n amplitudes each, are rebuilt from the kept weights:
+    # one register view per call, for the collapse alone
+    views.clear()
+    one, two = (measure_computational(state, (3, 1), np.random.default_rng(5)) for _ in range(2))
+    assert views == [(3, 1), (3, 1)] and one[0] == two[0] and one[1] is not two[1]
+    assert np.array_equal(one[1].amplitudes, two[1].amplitudes)
+    # another register keeps its own entry
+    measure_and_remove(state, (0,), rng)
+    assert set(state._measured) == {(3, 1), (0,)}
+    assert np.allclose(state._measured[(0,)][0], _reference_marginal(state, (0,)), atol=1e-12)
+
+
+def test_measuring_a_state_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        state = StateVector(3, np.full(8, 8**-0.5))
+        measure_and_remove(state, (1,), np.random.default_rng(0))
+        measure_computational(state, (0, 2), np.random.default_rng(1))
+        assert state._measured
+        ref = weakref.ref(state)
+        del state
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_state_keeps_the_squared_norm_its_check_computed():
+    from qindlab.attacks import _zero_weight
+    from qindlab.oracles import encrypt_fresh_register, xor_encrypt_register
+    from qindlab.schemes import prf_scheme
+
+    rng = np.random.default_rng(21)
+    s = apply_unitary(_random_unitary(3, rng), zero_state(5), (0, 2, 4))
+    scheme = prf_scheme(1, 1)
+    states = [
+        s,
+        StateVector(2, np.array([0.6, 0.0, 0.0, 0.8j])),
+        random_pure_bipartite(2, 3, rng),
+        maximally_entangled(2),
+        state_from_bits("0110"),
+        zero_state(3),
+        run_gates(3, (H(0), CNOT(0, 2))),
+        apply_unitary(hadamard_all(2), s, (4, 1)),
+        apply_basis_permutation(rng.permutation(8), s, (3, 0, 2)),
+        measure_computational(s, (1, 3), rng)[1],
+        measure_and_remove(s, (2,), rng)[1],
+        append_wires(s, 2),
+        xor_encrypt_register(scheme, 3, 1, s, (0,), (1, 2)),  # one gather
+        xor_encrypt_register(scheme, 3, 0, s, (0,), (3, 4)),  # one take per x
+        encrypt_fresh_register(scheme, 3, 1, s, (2,))[0],
+    ]
+    for state in states:
+        amps = state.amplitudes
+        assert _zero_weight(state, (0,))[1] == np.vdot(amps, amps).real
 
 
 def _density_with_least_eigenvalue(d: int, least: float) -> np.ndarray:

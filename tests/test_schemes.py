@@ -238,3 +238,45 @@ def test_prf_completion_table_matches_its_scalar_form_and_keeps_its_input():
             scalars = [scheme.type2_completion(key, r, int(v)) for v in z]
             assert all(type(c) is int for c in scalars)
             assert scalars == table.tolist()
+
+
+def test_key_tables_are_the_ones_the_listed_seed_words_draw():
+    keys = [0, 1, 2**16 - 1, *np.random.default_rng(7).integers(2**16, size=40).tolist()]
+    for key in keys:
+        for input_bits, output_bits in ((1, 1), (5, 3), (8, 6)):
+            drawn = np.random.default_rng([0x7F52, key, input_bits, output_bits])
+            expected = drawn.integers(0, 2**output_bits, size=2**input_bits, dtype=np.int64)
+            assert np.array_equal(schemes._prf_table(key, input_bits, output_bits), expected)
+    for key in [*keys, 2**32 - 1, *np.random.default_rng(8).integers(2**32, size=20).tolist()]:
+        for block_bits in (2, 10):
+            expected = np.random.default_rng([0x1DEA, key, block_bits]).permutation(2**block_bits)
+            assert np.array_equal(schemes._ideal_table(key, block_bits), expected)
+
+
+_PRF, _IDEAL, _FEISTEL, _PRF_SCHEME = (
+    toy_prf(2, 2), ideal_prp_family(4), feistel_prp_family(4), prf_scheme(2, 2)
+)
+# a call with a key, its key bits, and the table cache the call reads
+_KEYED_CALLS = {
+    "toy_prf": (lambda k: _PRF(k, 0), 16, schemes._prf_table),
+    "prf_scheme.enc": (lambda k: _PRF_SCHEME.enc(k, 1, 2), 16, schemes._prf_table),
+    "ideal.forward": (lambda k: _IDEAL.forward(k, 3), 32, schemes._ideal_table),
+    "ideal.inverse": (lambda k: _IDEAL.inverse(k, 3), 32, schemes._ideal_inverse),
+    "feistel.forward": (lambda k: _FEISTEL.forward(k, 3), 16, schemes._prf_table),
+    "feistel.inverse": (lambda k: _FEISTEL.inverse(k, 3), 16, schemes._prf_table),
+}
+
+
+@pytest.mark.parametrize("name", list(_KEYED_CALLS))
+def test_keys_are_checked_before_any_table_is_built(name):
+    call, key_bits, cache = _KEYED_CALLS[name]
+    for bad in (1.5, np.float64(1.0), "1", -1, 2**key_bits):
+        misses = cache.cache_info().misses
+        with pytest.raises(ValueError, match="key"):
+            call(bad)
+        assert cache.cache_info().misses == misses
+    # numpy integer keys play like ints and share their tables
+    expected = call(5)
+    misses = cache.cache_info().misses
+    assert call(np.int64(5)) == expected and call(np.uint16(5)) == expected
+    assert cache.cache_info().misses == misses

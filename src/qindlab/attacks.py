@@ -61,6 +61,7 @@ from .games import (
     _FixedTrial,
     _template,
 )
+from .oracles import _check_randomness
 from .quantum_core import CNOT, H, StateDescription, X, _check_index, _register_view
 from .schemes import ClassicalScheme, is_quasi_length_preserving
 
@@ -140,11 +141,14 @@ class HadamardTest(AdversaryStrategy):
     def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
         """Win probability at fixed (key, r), both challenge bits enumerated.
 
-        The challenge step gets no Generator: pure templates draw nothing.
+        The template and r are checked as a trial checks them; the challenge
+        step gets no Generator: pure templates draw nothing.
         """
         tested = self.tested_wires(scheme)
         template = self.template(scheme, self.exact_game)
-        challenge = GAME_STEPS[self.exact_game][2]
+        _, check, challenge = GAME_STEPS[self.exact_game]
+        check(scheme, template)
+        r = _check_randomness(scheme, r)
         responses = (challenge(scheme, key, template, b, r, None) for b in (0, 1))
         # per challenge bit, the weight of every tested wire measuring zero
         p0, p1 = (float(_zero_weight(x, tested)[0]) for x in responses)

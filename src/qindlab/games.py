@@ -33,7 +33,8 @@ learning query's registers and plaintext before its r, the template before
 b. Integers (b, r, plaintexts, the guess) pass ``_check_index``, so 1.5
 and 1.0 are refused, not truncated; registers have their sizes, and their
 wires pass one ``_check_wires`` together, which reads each wire the same way
-and keeps them disjoint.
+and keeps them disjoint. Each encryption step checks its wires once: the
+learning oracles and challenge steps call ``oracles``' unchecked cores.
 
 A strategy whose templates are fixed declares its qind pair as
 ``descriptions(m)``; ``_template`` builds every fixed template from that pair
@@ -49,13 +50,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .oracles import _check_randomness, _fresh_register, encrypt_fresh_register
-from .oracles import xor_encrypt_register
+from .oracles import _check_randomness, _encrypt_fresh, _fresh_register, _xor_encrypt
 from .quantum_core import (
     StateDescription,
     StateVector,
     X,
     _check_index,
+    _check_wire_count,
     _check_wires,
     measure_and_remove,
     run_gates,
@@ -119,7 +120,7 @@ class AdvantageEstimate:
             raise ValueError("interval must contain win_rate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FqindChallenge:
     """Adversary-held registers for fqind; also the response container."""
 
@@ -129,14 +130,14 @@ class FqindChallenge:
     response_wires: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GqindChallenge:
     state: StateVector
     message0_wires: tuple[int, ...]
     message1_wires: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GqindResponse:
     """Ciphertext register plus whatever private wires the adversary kept."""
 
@@ -194,10 +195,9 @@ class Type1LearningOracle(_LearningOracle):
         m, ell = self._scheme.message_bits, self._scheme.ciphertext_bits
         if len(message_wires) != m or len(response_wires) != ell:
             raise GameSetupError(f"type-1 query needs {m} message and {ell} response wires")
-        _refused(_check_wires, state.num_wires, (*message_wires, *response_wires))
-        return xor_encrypt_register(
-            self._scheme, self._key, self._next_r(), state, message_wires, response_wires
-        )
+        wires = (*message_wires, *response_wires)
+        _refused(_check_wires, state.num_wires, wires)
+        return _xor_encrypt(self._scheme, self._key, self._next_r(), state, wires)
 
 
 class Type2LearningOracle(_LearningOracle):
@@ -210,14 +210,15 @@ class Type2LearningOracle(_LearningOracle):
         m = self._scheme.message_bits
         if len(message_wires) != m:
             raise GameSetupError(f"type-2 query needs {m} message wires")
-        _refused(_fresh_register, self._scheme, state.num_wires, message_wires)
-        return encrypt_fresh_register(self._scheme, self._key, self._next_r(), state, message_wires)
+        wires = _refused(_fresh_register, self._scheme, state.num_wires, message_wires)
+        return _encrypt_fresh(self._scheme, self._key, self._next_r(), state, wires), wires
 
 
 # -- per-game challenge steps ---------------------------------------------------
-# A check validates the adversary's template. A challenge step builds the
-# response from (scheme, key, template, b, r, rng), may draw from rng only
-# after b and r are fixed, and returns it: a trial hands it to the adversary's
+# A check validates the adversary's template, the response's wire count
+# included. A challenge step builds the response from (scheme, key, template,
+# b, r, rng), checking nothing again, may draw from rng only after b and r are
+# fixed, and returns it: a trial hands it to the adversary's
 # ``receive_challenge``, the exact evaluator scores it.
 
 
@@ -242,7 +243,7 @@ def _check_fqind(scheme: ClassicalScheme, ch: FqindChallenge) -> None:
 def _challenge_fqind(scheme, key, ch: FqindChallenge, b, r, rng) -> FqindChallenge:
     """XOR-encrypt register b in place and hand every register back."""
     message = ch.message1_wires if b else ch.message0_wires
-    state = xor_encrypt_register(scheme, key, r, ch.state, message, ch.response_wires)
+    state = _xor_encrypt(scheme, key, r, ch.state, (*message, *ch.response_wires))
     return FqindChallenge(state, ch.message0_wires, ch.message1_wires, ch.response_wires)
 
 
@@ -252,12 +253,13 @@ def _check_qind(scheme: ClassicalScheme, template) -> None:
     for d in (d0, d1):
         if not isinstance(d, StateDescription) or d.num_wires != m:
             raise GameSetupError(f"challenge descriptions must cover exactly {m} wires")
+    _refused(_check_wire_count, scheme.ciphertext_bits)  # the response's wires
 
 
 def _challenge_qind(scheme, key, template, b, r, rng) -> StateVector:
     """Rebuild description b privately; only the ciphertext register leaves."""
     plain = sample_description(template[b], rng)
-    return encrypt_fresh_register(scheme, key, r, plain, tuple(range(scheme.message_bits)))[0]
+    return _encrypt_fresh(scheme, key, r, plain, tuple(range(scheme.ciphertext_bits)))
 
 
 def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
@@ -265,6 +267,18 @@ def _check_gqind(scheme: ClassicalScheme, ch: GqindChallenge) -> None:
     if len(ch.message0_wires) != m or len(ch.message1_wires) != m:
         raise GameSetupError(f"gqind message registers need {m} wires each")
     _refused(_check_wires, ch.state.num_wires, (*ch.message0_wires, *ch.message1_wires))
+    # the response's wires: one register measured out, the other widened to ell
+    _refused(_check_wire_count, ch.state.num_wires - 2 * m + scheme.ciphertext_bits)
+
+
+@functools.lru_cache(maxsize=64)
+def _gqind_layout(n: int, ell: int, keep: tuple[int, ...], drop: tuple[int, ...]):
+    """With register ``drop`` of an n-wire template deleted, the renumbered
+    register [kept wires | ell - m ancilla] and the other surviving wires."""
+    remain = [w for w in range(n) if w not in drop]  # wire remain[i] becomes wire i
+    message = tuple(map(remain.index, keep))
+    private = tuple(i for i, w in enumerate(remain) if w not in keep)
+    return message + tuple(range(len(remain), len(remain) + ell - len(keep))), private
 
 
 def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindResponse:
@@ -273,12 +287,9 @@ def _challenge_gqind(scheme, key, ch: GqindChallenge, b, r, rng) -> GqindRespons
     drop = ch.message0_wires if b else ch.message1_wires
     # trace out the unchosen register: measure, discard the outcome, delete
     _, state = measure_and_remove(ch.state, drop, rng)
-    # surviving wire remain[i] is wire i after the deletion
-    remain = [w for w in range(ch.state.num_wires) if w not in drop]
-    message = tuple(map(remain.index, keep))
-    private = tuple(i for i, w in enumerate(remain) if w not in keep)
-    state, cipher_wires = encrypt_fresh_register(scheme, key, r, state, message)
-    return GqindResponse(state, cipher_wires, private)
+    n, ell = ch.state.num_wires, scheme.ciphertext_bits
+    wires, private = _gqind_layout(n, ell, tuple(keep), tuple(drop))
+    return GqindResponse(_encrypt_fresh(scheme, key, r, state, wires), wires, private)
 
 
 # game -> (learning oracle, template check, challenge step)

@@ -10,8 +10,10 @@ Two standard lifts, both computational-basis permutations:
 
 The games read a scheme only through Enc's 2^m-entry table: type-1 steps via
 ``xor_encrypt_register`` and type-2 steps, which meet only |x, 0>, via
-``encrypt_fresh_register``. ``EncryptionUnitary.apply`` applies any lift's
-table through ``apply_basis_permutation``.
+``encrypt_fresh_register``: each checks its wires and r, then runs a core
+the games call after their own checks, from a layout cached per register
+(``_xor_plan``, ``_fresh_layout``). ``EncryptionUnitary.apply`` applies any
+lift's table through ``apply_basis_permutation``.
 
 Lifts are stored as basis index tables, so applying one to a larger state
 costs O(2^n) regardless of operator size; dense matrices materialize on
@@ -30,7 +32,7 @@ import numpy as np
 
 from .quantum_core import StateVector, UnitaryOperator, _check_index, _check_permutation
 from .quantum_core import _check_wire_count, _check_wires, _flat_amplitudes, _owned_state
-from .quantum_core import _register_view, apply_basis_permutation
+from .quantum_core import _axis_order, apply_basis_permutation
 from .schemes import ClassicalScheme
 
 
@@ -137,31 +139,58 @@ def xor_encrypt_register(
     table: any Enc into ell bits makes an XOR lift, so nothing more is checked.
     Raises ValueError for bad wires or an Enc that leaves ell bits.
 
-    Writes one fresh array and builds no index above 2^(m + ell) entries: one
-    gather if the response run follows the message run, one per x into output
-    slices if a gap parts them, else one through a transposed copy.
+    Checks the wires and r, then gathers by the layout's cached ``_xor_plan``:
+    one fresh array and no index above 2^(m + ell) entries.
     """
     message_wires, response_wires = tuple(message_wires), tuple(response_wires)
-    n, m, ell = state.num_wires, scheme.message_bits, scheme.ciphertext_bits
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
     for wires, want in ((message_wires, m), (response_wires, ell)):
         if len(wires) != want:
             raise ValueError(f"expected {want} wires, got {len(wires)}")
-    _check_wires(n, message_wires + response_wires)
-    enc = _enc_table(scheme, key, _check_randomness(scheme, r))
-    rows = np.arange(2**ell) ^ enc[:, None]  # rows[x, y] = y ^ Enc(x)
-    first, second = (
+    _check_wires(state.num_wires, message_wires + response_wires)
+    r = _check_randomness(scheme, r)
+    return _xor_encrypt(scheme, key, r, state, message_wires + response_wires)
+
+
+def _xor_encrypt(scheme: ClassicalScheme, key, r: int, state: StateVector, wires) -> StateVector:
+    """``xor_encrypt_register`` on the checked register ``wires``, r checked."""
+    base, shape, order = _xor_plan(state.num_wires, scheme.message_bits, wires)
+    rows = base ^ _enc_table(scheme, key, r)[:, None]  # rows[x] gathers |x, y ^ Enc(x)>
+    a = state.amplitudes.reshape(shape)
+    if order is not None:
+        a = a.transpose(order[0]).reshape(1, base.size, -1)
+    elif len(shape) == 5:  # a view (before, x, gap, y, after)
+        out = np.empty_like(a)
+        for x, row in enumerate(rows):
+            a[:, x].take(row, axis=2, out=out[:, x], mode="clip")  # "raise" would buffer out
+        return _owned_state(state.num_wires, out.reshape(-1))
+    return _owned_state(state.num_wires, _flat_amplitudes(a.take(rows.reshape(-1), axis=1), order))
+
+
+@functools.lru_cache(maxsize=64)
+def _xor_plan(n: int, m: int, wires: tuple[int, ...]):
+    """For the register ``wires`` [m message | ell response] of an n-wire
+    state: the base table Enc's column XORs into indices, the amplitudes'
+    shape and a transposed copy's ``_axis_order`` (None for a view). One
+    in-order run gathers once at (x << ell) | y; two parted by a gap, per x at y."""
+    ell = len(wires) - m
+    s, t = (
         w[0] if w and w == tuple(range(w[0], w[0] + len(w))) else None
-        for w in (message_wires, response_wires)
+        for w in (wires[:m], wires[m:])
     )
-    if first is None or second is None or second <= first + m:
-        rows |= (np.arange(2**m) << ell)[:, None]
-        block, plan = _register_view(state, message_wires + response_wires)
-        return _owned_state(n, _flat_amplitudes(block.take(rows.reshape(-1), axis=1), plan))
-    a = state.amplitudes.reshape(2**first, 2**m, 2 ** (second - first - m), 2**ell, -1)
-    out = np.empty_like(a)
-    for x, row in enumerate(rows):
-        np.take(a[:, x], row, axis=2, out=out[:, x], mode="clip")  # "raise" would buffer out
-    return _owned_state(n, out.reshape(-1))
+    if s is None or t is None or t < s:
+        return _xor_base(m, ell), (2,) * n, _axis_order(n, wires)
+    if t == s + m:
+        return _xor_base(m, ell), (2**s, 2 ** (m + ell), -1), None
+    return _xor_base(0, ell), (2**s, 2**m, 2 ** (t - s - m), 2**ell, -1), None
+
+
+@functools.lru_cache(maxsize=64)
+def _xor_base(m: int, ell: int) -> np.ndarray:
+    """The frozen (2^m, 2^ell) table (x << ell) | y."""
+    base = np.arange(2 ** (m + ell)).reshape(2**m, 2**ell)
+    base.setflags(write=False)
+    return base
 
 
 @functools.lru_cache(maxsize=64)
@@ -189,23 +218,29 @@ def encrypt_fresh_register(
     ancilla wires], and returns it with that register's wires. Raises
     ValueError for bad wires or an Enc not injective into ell bits.
     """
-    total, wires = _fresh_register(scheme, state.num_wires, message_wires)
-    enc = _enc_table(scheme, key, _check_randomness(scheme, r), injective=True)
+    wires = _fresh_register(scheme, state.num_wires, message_wires)
+    return _encrypt_fresh(scheme, key, _check_randomness(scheme, r), state, wires), wires
+
+
+def _encrypt_fresh(scheme: ClassicalScheme, key, r: int, state: StateVector, wires) -> StateVector:
+    """``encrypt_fresh_register`` into the checked register ``wires``, r checked."""
+    enc = _enc_table(scheme, key, r, injective=True)
     rest, x_of, deposit = _fresh_layout(state.num_wires, wires)
+    total = state.num_wires + len(wires) - scheme.message_bits
     out = np.zeros(2**total, dtype=np.complex128)
     out[deposit[enc][x_of] | rest] = state.amplitudes
-    return _owned_state(total, out), wires
+    return _owned_state(total, out)
 
 
-def _fresh_register(scheme: ClassicalScheme, num_wires: int, message_wires):
-    """The wire count once ell - m ancilla wires join a ``num_wires``-wire
-    state, and the register [message wires | ancilla] they make. Checks the
-    message wires against the state they come from, then the wire cap."""
+def _fresh_register(scheme: ClassicalScheme, num_wires: int, message_wires) -> tuple[int, ...]:
+    """The register [message wires | ell - m ancilla wires appended to a
+    ``num_wires``-wire state]. Checks the message wires against the state
+    they come from, then the wire cap."""
     message_wires = tuple(message_wires)
     _check_wires(num_wires, message_wires, scheme.message_bits)
     total = num_wires + scheme.ciphertext_bits - scheme.message_bits
     _check_wire_count(total)
-    return total, message_wires + tuple(range(num_wires, total))
+    return message_wires + tuple(range(num_wires, total))
 
 
 def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:

@@ -13,6 +13,7 @@ array they are given, validate it and freeze the copy. States this module
 builds itself take ownership of their freshly computed array instead: no
 copy, but the array is still frozen and its norm still checked. Randomness
 always enters through an explicitly passed ``numpy.random.Generator``.
+Values that hold an array compare by identity: ``==`` is ``is``.
 
 A state keeps its squared norm from the norm check that built it and, once
 measured, each register's Born weights and post-measurement states by
@@ -69,11 +70,13 @@ def _check_wire_count(num_wires: int) -> None:
 
 def _check_wires(num_wires: float, wires: tuple[int, ...], expected: int | None = None) -> None:
     """``expected`` wires if given, each an integer in [0, num_wires) read
-    through ``_check_index``, and no wire twice; validated, not rewritten."""
+    through ``_check_index`` unless a plain int in range, and no wire twice;
+    validated, not rewritten."""
     if expected is not None and len(wires) != expected:
         raise ValueError(f"expected {expected} wires, got {len(wires)}")
     for w in wires:
-        _check_index(w, "wire", num_wires)
+        if type(w) is not int or not 0 <= w < num_wires:
+            _check_index(w, "wire", num_wires)
     if len(set(wires)) != len(wires):
         raise ValueError(f"wires must be distinct, got {wires}")
 
@@ -86,7 +89,7 @@ def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state on ``num_wires`` qubits as 2^n complex amplitudes."""
 
@@ -140,7 +143,7 @@ def _owned_state(num_wires: int, amplitudes: np.ndarray) -> StateVector:
     return state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state on ``num_wires`` qubits: Hermitian, PSD, unit trace."""
 
@@ -174,7 +177,7 @@ class DensityMatrix:
         return 2**self.num_wires
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """Dense unitary on ``num_wires`` qubits, validated at construction."""
 

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from qindlab import attacks, games, oracles, schemes
+from qindlab import attacks, games, oracles, quantum_core, schemes
 from qindlab.attacks import EntangledBlockProbe, bz_adversary, qlp_distinguisher
 from qindlab.games import (
     GAME_NAMES,
@@ -789,3 +789,70 @@ def test_encryption_steps_hold_their_output_and_one_index():
     output = 16 * 2**14
     for step in steps:
         assert _traced_peak(step) <= output + 8 * 2 ** (m + ell) + 4096
+
+
+@pytest.mark.parametrize(
+    "game,scheme,template",
+    [
+        # one 1-wire register measured out, the other widened to 9 wires: 16
+        ("gqind", prf_scheme(1, 8), GqindChallenge(zero_state(9), (0,), (1,))),
+        ("qind", prf_scheme(7, 8), (StateDescription(7), StateDescription(7))),
+    ],
+    ids=["gqind", "qind"],
+)
+def test_over_wide_type2_challenges_are_refused_before_b(game, scheme, template):
+    rng, key_only = np.random.default_rng(9), np.random.default_rng(9)
+    scheme.gen(key_only)
+    with pytest.raises(GameSetupError, match="exceeds the cap of 14"):
+        GAME_RUNNERS[game](scheme, SendsTemplate(game, template), rng)
+    assert rng.bit_generator.state == key_only.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: zero_state(2),
+        lambda: zero_state(2).to_density(),
+        lambda: quantum_core.UnitaryOperator(1, np.eye(2)),
+        lambda: FqindChallenge(zero_state(3), (0,), (1,), (2,)),
+        lambda: GqindChallenge(zero_state(2), (0,), (1,)),
+        lambda: games.GqindResponse(zero_state(2), (0, 1), ()),
+    ],
+    ids=["StateVector", "DensityMatrix", "UnitaryOperator", "FqindChallenge",
+         "GqindChallenge", "GqindResponse"],
+)
+def test_values_holding_a_state_compare_by_identity(make):
+    value = make()
+    assert value == value
+    assert (value == make()) is False
+    assert (value != make()) is True
+
+
+def test_each_encryption_step_checks_its_wires_once(monkeypatch):
+    calls = {"_check_wires": 0, "_fresh_register": 0}
+    for name, module in (("_check_wires", quantum_core), ("_fresh_register", oracles)):
+        def counted(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for owner in (quantum_core, oracles, games):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted)
+
+    def count(step, times=4):
+        step()  # builds every cached template and layout the step reads
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in range(times):
+            step()
+        return {name: n / times for name, n in calls.items()}
+
+    scheme, rng = prf_scheme(2, 2), np.random.default_rng(4)
+    bz, qlp = bz_adversary(), qlp_distinguisher()
+    assert count(lambda: run_fqind_qcpa(scheme, bz, rng))["_check_wires"] == 1
+    plain = zero_state(6)
+    type1 = Type1LearningOracle(scheme, 3, rng)
+    assert count(lambda: type1.query(plain, (4, 1), (0, 2, 3, 5)))["_check_wires"] == 1
+    type2 = Type2LearningOracle(scheme, 3, rng)
+    assert count(lambda: type2.query(zero_state(3), (2, 0)))["_fresh_register"] == 1
+    for runner in (run_qind_qcpa, run_gqind_qcpa):
+        assert count(lambda: runner(scheme, qlp, rng))["_fresh_register"] == 0

@@ -99,7 +99,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--game", choices=games.GAME_NAMES, required=True)
     p_attack.add_argument("--mode", choices=("sampled", "exact"), default="sampled")
     p_attack.add_argument("--trials", type=_positive_int, default=1000)
-    p_attack.add_argument("--keys", type=_positive_int, default=4, help="keys for exact mode")
+    p_attack.add_argument(
+        "--keys",
+        type=_positive_int,
+        default=4,
+        help="keys drawn from the seed for exact mode: the value is exact for those keys and "
+        "at most 8 r values, and is the key average only if the win rate ignores the key",
+    )
     p_attack.add_argument(
         "--q", type=_nonnegative_int, default=0, help="learning queries to pad in"
     )

@@ -442,13 +442,18 @@ def exact_advantage(
     key_count: int = 2,
     seed: int = 0,
 ) -> AdvantageEstimate:
-    """Exact-mode estimate: zero-width interval, branch enumeration, no sampling.
+    """Exact-mode estimate: a zero-width interval from branch enumeration,
+    averaged over ``key_count`` keys drawn from ``seed`` and at most 8
+    randomness values.
 
     Needs a strategy exposing exact_win_probability(scheme, key, r), which
     enumerates both challenge branches. Randomness is swept exhaustively up
     to 8 values, otherwise 8 are drawn with replacement and deduplicated.
-    ``trials`` counts the challenge branches evaluated: two per distinct
-    (key, randomness) pair.
+    The value is exact for those keys and values only. It equals the
+    key-averaged advantage when the win rate does not depend on the key (bz
+    on injective schemes, qlp or hadamard-bit on quasi-length-preserving
+    ones), and need not otherwise. ``trials`` counts the challenge branches
+    evaluated: two per distinct (key, randomness) pair.
     """
     if not hasattr(strategy, "exact_win_probability"):
         raise GameSetupError(f"strategy {strategy.name!r} has no exact evaluator")

@@ -1,9 +1,20 @@
 """Classical symmetric encryption schemes at desk scale.
 
 Messages, randomness, ciphertexts and keys are plain integers with declared
-bit widths (wire 0 = MSB, so an m-bit plaintext equals its basis index). All
-primitives operate elementwise on numpy integer arrays as well as scalars,
-which is what lets the oracle layer build permutation tables in one shot.
+bit widths (wire 0 = MSB, so an m-bit plaintext equals its basis index).
+Each primitive is written once, as one numpy expression that serves an int
+and an integer array alike; the oracle layer reads Enc as a whole table, in
+one call on every plaintext.
+
+Each public entry (a scheme's ``enc``, ``dec`` and ``type2_completion``, a
+family's ``forward`` and ``inverse``, a keyed function's call) checks its
+inputs once, with ``_indices``, and then runs an unchecked core. An int is
+read through the package's integer rule; an array must have an integer
+dtype, so a bool mask or a float array is refused, and every entry must lie
+in [0, 2^bits). Ints in, int out. A composition calls the cores of what it
+composes; only the block scheme calls its base's public entries, which
+re-check each block's slices. Keys are checked where a key table is read,
+before the table cache.
 
 Each scheme may declare a type-2 completion: a keyed basis permutation phi on
 ell-bit strings, laid out as [x: m bits | y: ell-m bits], with
@@ -34,22 +45,40 @@ _PRF_INPUT_CAP = 8
 _TABLE_CACHE_SIZE = 64
 
 
-def _is_scalar(x) -> bool:
-    return isinstance(x, (int, np.integer))
+def _indices(value, bits: int, what: str):
+    """``value`` as an int, or an int64 array, of indices in [0, 2^bits).
+
+    A non-array goes through ``_check_index``. An array must have an integer
+    dtype (a bool array is refused, not read as a mask), and every entry,
+    negatives included, must lie in range: the OR of all entries has a bit
+    at or above ``bits``, the sign bit included, iff one of them does."""
+    if not isinstance(value, np.ndarray):
+        return _check_index(value, what, 2**bits)
+    if value.dtype.kind not in "iu":
+        raise ValueError(f"{what} array of dtype {value.dtype} is not an integer")
+    if np.bitwise_or.reduce(value, axis=None) >> bits:
+        raise ValueError(f"{what} array out of range [0, {2**bits})")
+    return value.astype(np.int64, copy=False)
 
 
-def _like(x, out):
-    return int(out) if _is_scalar(x) else out
+def _checked(core: Callable, bits: tuple[int, ...], names: tuple[str, ...]) -> Callable:
+    """``core(key, *values)`` behind one ``_indices`` check per value, each
+    with its width and name. An array result is returned as it is; any other
+    result (a numpy scalar, when every input is an int) comes back an int."""
 
+    def entry(key, *values):
+        if len(values) != len(bits):
+            raise TypeError(f"expected a key and {len(bits)} inputs, got {len(values)} inputs")
+        out = core(key, *map(_indices, values, bits, names))
+        return out if isinstance(out, np.ndarray) else int(out)
 
-def _check_range(value, bits: int, what: str) -> None:
-    if _is_scalar(value) and not 0 <= int(value) < 2**bits:
-        raise ValueError(f"{what} {value} out of range for {bits} bits")
+    return entry
 
 
 @dataclass(frozen=True)
 class KeyedFunction:
-    """Keyed function {0,1}^input_bits -> {0,1}^output_bits."""
+    """Keyed function {0,1}^input_bits -> {0,1}^output_bits; ``evaluate`` is
+    the unchecked core, which reads inputs already in range."""
 
     input_bits: int
     output_bits: int
@@ -57,11 +86,14 @@ class KeyedFunction:
     evaluate: Callable[[Any, Any], Any]
 
     def __call__(self, key, x):
-        return self.evaluate(key, x)
+        return _checked(self.evaluate, (self.input_bits,), ("prf input",))(key, x)
 
 
 @dataclass(frozen=True)
 class ClassicalScheme:
+    """``enc(key, r, x)``, ``dec(key, y)`` and ``type2_completion(key, r, z)``
+    are the checked public entries."""
+
     name: str
     message_bits: int
     randomness_bits: int
@@ -98,19 +130,14 @@ def toy_prf(input_bits: int, output_bits: int) -> KeyedFunction:
         raise ValueError(f"toy_prf tables are capped at {_PRF_INPUT_CAP} input bits")
 
     def evaluate(key, x):
-        table = _prf_table(_check_index(key, "key", 2**16), input_bits, output_bits)
-        return _like(x, table[np.asarray(x)] if not _is_scalar(x) else table[int(x)])
+        return _prf_table(_check_index(key, "key", 2**16), input_bits, output_bits)[x]
 
     return KeyedFunction(input_bits, output_bits, 16, evaluate)
 
 
 def constant_prf(input_bits: int, output_bits: int) -> KeyedFunction:
     """F_k(x) = 0 for every key and input; the leaky degenerate case."""
-
-    def evaluate(key, x):
-        return _like(x, np.asarray(x) * 0)
-
-    return KeyedFunction(input_bits, output_bits, 0, evaluate)
+    return KeyedFunction(input_bits, output_bits, 0, lambda key, x: x * 0)
 
 
 # -- permutation families ------------------------------------------------------
@@ -118,14 +145,23 @@ def constant_prf(input_bits: int, output_bits: int) -> KeyedFunction:
 
 @dataclass(frozen=True)
 class PermutationFamily:
-    """Keyed permutations of {0,1}^block_bits with explicit inverses."""
+    """Keyed permutations of {0,1}^block_bits with explicit inverses.
+
+    ``forward_core`` and ``inverse_core`` are unchecked and read blocks
+    already in range; ``forward`` and ``inverse`` check them first."""
 
     name: str
     block_bits: int
     key_bits: int
     init: Callable[[np.random.Generator], Any]
-    forward: Callable[[Any, Any], Any]
-    inverse: Callable[[Any, Any], Any]
+    forward_core: Callable[[Any, Any], Any]
+    inverse_core: Callable[[Any, Any], Any]
+
+    def forward(self, key, x):
+        return _checked(self.forward_core, (self.block_bits,), ("block",))(key, x)
+
+    def inverse(self, key, y):
+        return _checked(self.inverse_core, (self.block_bits,), ("block",))(key, y)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -157,19 +193,12 @@ def ideal_prp_family(block_bits: int) -> PermutationFamily:
         return int(rng.integers(2**32))
 
     def forward(key, x):
-        return _like(x, _ideal_table(_check_index(key, "key", 2**32), block_bits)[x])
+        return _ideal_table(_check_index(key, "key", 2**32), block_bits)[x]
 
     def inverse(key, y):
-        return _like(y, _ideal_inverse(_check_index(key, "key", 2**32), block_bits)[y])
+        return _ideal_inverse(_check_index(key, "key", 2**32), block_bits)[y]
 
-    return PermutationFamily(
-        name=f"ideal-{block_bits}",
-        block_bits=block_bits,
-        key_bits=32,
-        init=init,
-        forward=forward,
-        inverse=inverse,
-    )
+    return PermutationFamily(f"ideal-{block_bits}", block_bits, 32, init, forward, inverse)
 
 
 def _feistel_round_table(key: int, rnd: int, half_bits: int) -> np.ndarray:
@@ -189,34 +218,25 @@ def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
     half = block_bits // 2
     mask = (1 << half) - 1
 
-    def round_function(key, rnd, r):
-        table = _feistel_round_table(key, rnd, half)
-        return _like(r, table[np.asarray(r)] if not _is_scalar(r) else table[int(r)])
-
     def init(rng: np.random.Generator):
         return int(rng.integers(2**16))
 
     def forward(key, x):
         key = _check_index(key, "key", 2**16)
-        left, right = np.asarray(x) >> half, np.asarray(x) & mask
+        left, right = x >> half, x & mask
         for i in range(rounds):
-            left, right = right, left ^ round_function(key, i, right)
-        return _like(x, (left << half) | right)
+            left, right = right, left ^ _feistel_round_table(key, i, half)[right]
+        return (left << half) | right
 
     def inverse(key, y):
         key = _check_index(key, "key", 2**16)
-        left, right = np.asarray(y) >> half, np.asarray(y) & mask
+        left, right = y >> half, y & mask
         for i in reversed(range(rounds)):
-            left, right = right ^ round_function(key, i, left), left
-        return _like(y, (left << half) | right)
+            left, right = right ^ _feistel_round_table(key, i, half)[left], left
+        return (left << half) | right
 
     return PermutationFamily(
-        name=f"feistel-{block_bits}x{rounds}",
-        block_bits=block_bits,
-        key_bits=16,
-        init=init,
-        forward=forward,
-        inverse=inverse,
+        f"feistel-{block_bits}x{rounds}", block_bits, 16, init, forward, inverse
     )
 
 
@@ -225,16 +245,31 @@ def identity_permutation_family(block_bits: int) -> PermutationFamily:
     if block_bits < 1:
         raise ValueError("block_bits must be >= 1")
     return PermutationFamily(
-        name=f"identity-{block_bits}",
-        block_bits=block_bits,
-        key_bits=0,
-        init=lambda rng: 0,
-        forward=lambda key, x: x,
-        inverse=lambda key, y: y,
+        f"identity-{block_bits}", block_bits, 0, lambda rng: 0, lambda k, x: x, lambda k, y: y
     )
 
 
 # -- schemes -------------------------------------------------------------------
+
+
+def _scheme(
+    name: str, m: int, tau: int, ell: int, keys: int, *, gen, enc, dec, core_bits, completion
+) -> ClassicalScheme:
+    """The scheme whose public entries check their inputs once, then run these cores."""
+    return ClassicalScheme(
+        name=name,
+        message_bits=m,
+        randomness_bits=tau,
+        ciphertext_bits=ell,
+        key_space=keys,
+        gen=gen,
+        enc=_checked(enc, (tau, m), ("randomness", "plaintext")),
+        dec=_checked(dec, (ell,), ("ciphertext",)),
+        core_bits=core_bits,
+        type2_completion=None
+        if completion is None
+        else _checked(completion, (tau, ell), ("randomness", "completion input")),
+    )
 
 
 def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalScheme:
@@ -247,35 +282,20 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
         raise ValueError(
             f"prf width mismatch: need {tau} -> {m}, got {prf.input_bits} -> {prf.output_bits}"
         )
-    m_mask = (1 << m) - 1
-    t_mask = (1 << tau) - 1
+    f, m_mask, t_mask = prf.evaluate, (1 << m) - 1, (1 << tau) - 1
     keys = 2 ** max(prf.key_bits, 1)
 
-    def enc(key, r, x):
-        _check_range(r, tau, "randomness")
-        _check_range(x, m, "plaintext")
-        return _like(x, (np.asarray(r) << m) | (prf(key, r) ^ np.asarray(x)))
-
-    def dec(key, y):
-        _check_range(y, tau + m, "ciphertext")
-        return _like(y, (np.asarray(y) & m_mask) ^ prf(key, np.asarray(y) >> m))
-
     def completion(key, r, z):
-        arr = np.asarray(z)
-        rp = (arr & t_mask) ^ r
-        return _like(z, (rp << m) | (prf(key, rp) ^ (arr >> tau)))
+        rp = (z & t_mask) ^ r
+        return (rp << m) | (f(key, rp) ^ (z >> tau))
 
-    return ClassicalScheme(
-        name=f"prf[m={m},tau={tau}]",
-        message_bits=m,
-        randomness_bits=tau,
-        ciphertext_bits=tau + m,
-        key_space=keys,
+    return _scheme(
+        f"prf[m={m},tau={tau}]", m, tau, tau + m, keys,
         gen=lambda rng: int(rng.integers(keys)),
-        enc=enc,
-        dec=dec,
+        enc=lambda key, r, x: (r << m) | (f(key, r) ^ x),
+        dec=lambda key, y: (y & m_mask) ^ f(key, y >> m),
         core_bits=m,
-        type2_completion=completion,
+        completion=completion,
     )
 
 
@@ -292,33 +312,15 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
         raise ValueError(
             f"family block width {family.block_bits} != m + tau = {m + tau}"
         )
-    t_mask = (1 << tau) - 1
-
-    def enc(key, r, x):
-        _check_range(r, tau, "randomness")
-        _check_range(x, m, "plaintext")
-        return family.forward(key, _like(x, (np.asarray(x) << tau) | r))
-
-    def dec(key, y):
-        _check_range(y, m + tau, "ciphertext")
-        return _like(y, np.asarray(family.inverse(key, y)) >> tau)
-
-    def completion(key, r, z):
-        arr = np.asarray(z)
-        x, y = arr >> tau, arr & t_mask
-        return _like(z, np.asarray(family.forward(key, (x << tau) | (y ^ r))))
-
-    return ClassicalScheme(
-        name=f"prp[m={m},tau={tau},{family.name}]",
-        message_bits=m,
-        randomness_bits=tau,
-        ciphertext_bits=m + tau,
-        key_space=2**family.key_bits,
+    forward, inverse = family.forward_core, family.inverse_core
+    return _scheme(
+        f"prp[m={m},tau={tau},{family.name}]", m, tau, m + tau, 2**family.key_bits,
         gen=family.init,
-        enc=enc,
-        dec=dec,
+        enc=lambda key, r, x: forward(key, (x << tau) | r),
+        dec=lambda key, y: inverse(key, y) >> tau,
         core_bits=m if tau == 0 else None,
-        type2_completion=completion,
+        # x || (y ^ r) is z ^ r, since r < 2^tau touches y alone
+        completion=lambda key, r, z: forward(key, z ^ r),
     )
 
 
@@ -326,57 +328,40 @@ def block_scheme(base: ClassicalScheme, mu: int) -> ClassicalScheme:
     """mu independent blocks under one key: y_i = Enc_k(x_i; r_i), concatenated.
 
     Message space {0,1}^(mu*m), randomness slices r_1 || ... || r_mu, block 1
-    most significant throughout.
+    most significant throughout. Each block goes through the base's public
+    entries.
     """
     if mu < 1:
         raise ValueError("mu must be >= 1")
     m_b, t_b, c_b = base.message_bits, base.randomness_bits, base.ciphertext_bits
-    m_mask, t_mask, c_mask = (1 << m_b) - 1, (1 << t_b) - 1, (1 << c_b) - 1
 
-    def blocks(value, width: int, mask: int):
-        value = np.asarray(value)
-        return [(value >> ((mu - 1 - i) * width)) & mask for i in range(mu)]
+    def blocks(value, width: int):
+        return [(value >> ((mu - 1 - i) * width)) & ((1 << width) - 1) for i in range(mu)]
 
     def enc(key, r, x):
-        _check_range(r, mu * t_b, "randomness")
-        _check_range(x, mu * m_b, "plaintext")
-        out = np.asarray(x) * 0
-        for xi, ri in zip(blocks(x, m_b, m_mask), blocks(r, t_b, t_mask)):
-            out = (out << c_b) | np.asarray(base.enc(key, ri, xi))
-        return _like(x, out)
+        out = 0
+        for xi, ri in zip(blocks(x, m_b), blocks(r, t_b)):
+            out = (out << c_b) | base.enc(key, ri, xi)
+        return out
 
     def dec(key, y):
-        _check_range(y, mu * c_b, "ciphertext")
-        out = np.asarray(y) * 0
-        for yi in blocks(y, c_b, c_mask):
-            out = (out << m_b) | np.asarray(base.dec(key, yi))
-        return _like(y, out)
+        out = 0
+        for yi in blocks(y, c_b):
+            out = (out << m_b) | base.dec(key, yi)
+        return out
 
-    completion = None
-    if base.type2_completion is not None:
+    def completion(key, r, z):
+        out = 0
+        x_all, y_all = blocks(z >> (mu * t_b), m_b), blocks(z, t_b)
+        for xi, yi, ri in zip(x_all, y_all, blocks(r, t_b)):
+            out = (out << c_b) | base.type2_completion(key, ri, (xi << t_b) | yi)
+        return out
 
-        def completion(key, r, z):
-            arr = np.asarray(z)
-            x_all, y_all = arr >> (mu * t_b), arr & ((1 << (mu * t_b)) - 1)
-            out = arr * 0
-            for xi, yi, ri in zip(
-                blocks(x_all, m_b, m_mask),
-                blocks(y_all, t_b, t_mask),
-                blocks(r, t_b, t_mask),
-            ):
-                ci = base.type2_completion(key, ri, (xi << t_b) | yi)
-                out = (out << c_b) | np.asarray(ci)
-            return _like(z, out)
-
-    return ClassicalScheme(
-        name=f"block[mu={mu},{base.name}]",
-        message_bits=mu * m_b,
-        randomness_bits=mu * t_b,
-        ciphertext_bits=mu * c_b,
-        key_space=base.key_space,
+    return _scheme(
+        f"block[mu={mu},{base.name}]", mu * m_b, mu * t_b, mu * c_b, base.key_space,
         gen=base.gen,
         enc=enc,
         dec=dec,
         core_bits=base.core_bits if mu == 1 else None,
-        type2_completion=completion,
+        completion=None if base.type2_completion is None else completion,
     )

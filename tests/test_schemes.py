@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qindlab import schemes
+from qindlab import games, oracles, schemes
 from qindlab.quantum_core import WIRE_CAP
 from qindlab.schemes import (
     ClassicalScheme,
@@ -280,3 +280,93 @@ def test_keys_are_checked_before_any_table_is_built(name):
     misses = cache.cache_info().misses
     assert call(np.int64(5)) == expected and call(np.uint16(5)) == expected
     assert cache.cache_info().misses == misses
+
+
+_FAMILIES = {
+    "ideal": ideal_prp_family(4),
+    "feistel": feistel_prp_family(4),
+    "identity": identity_permutation_family(4),
+}
+_SCHEMES = {
+    "prf": prf_scheme(2, 2),
+    **{f"prp-{name}": prp_scheme(2, 2, fam) for name, fam in _FAMILIES.items()},
+    "block": block_scheme(prp_scheme(1, 1, ideal_prp_family(2)), 2),
+}
+
+
+def _entries():
+    """(id, call, valid inputs, (bits, name) of each input) for every public entry."""
+    for name, s in _SCHEMES.items():
+        m, tau, ell = s.message_bits, s.randomness_bits, s.ciphertext_bits
+        yield f"{name}.enc", s.enc, (1, 2), ((tau, "randomness"), (m, "plaintext"))
+        yield f"{name}.dec", s.dec, (3,), ((ell, "ciphertext"),)
+        completion = ((tau, "randomness"), (ell, "completion input"))
+        yield f"{name}.completion", s.type2_completion, (1, 3), completion
+    for name, fam in _FAMILIES.items():
+        yield f"{name}.forward", fam.forward, (3,), ((4, "block"),)
+        yield f"{name}.inverse", fam.inverse, (3,), ((4, "block"),)
+    yield "toy_prf", toy_prf(2, 2), (3,), ((2, "prf input"),)
+    yield "constant_prf", constant_prf(2, 2), (3,), ((2, "prf input"),)
+
+
+_ENTRIES = {entry[0]: entry[1:] for entry in _entries()}
+_TABLE_CACHES = (schemes._prf_table, schemes._ideal_table, schemes._ideal_inverse)
+
+
+@pytest.mark.parametrize("name", list(_ENTRIES))
+def test_every_entry_refuses_inputs_outside_the_integers_in_range(name):
+    call, valid, specs = _ENTRIES[name]
+    key = 7
+    for i, (bits, what) in enumerate(specs):
+        top = 2**bits
+        for bad in (
+            np.arange(top + 1),
+            np.array([0, -1]),
+            np.array([[0, 1], [top, 0]]),
+            top,
+            -1,
+            1.5,
+            np.float64(1.0),
+            np.zeros(2),
+            np.ones(top, dtype=bool),
+        ):
+            for cache in _TABLE_CACHES:
+                cache.cache_clear()
+            inputs = list(valid)
+            inputs[i] = bad
+            with pytest.raises(ValueError, match=what):
+                call(key, *inputs)
+            assert all(cache.cache_info().currsize == 0 for cache in _TABLE_CACHES)
+    # ints in, int out; an in-range array in, the array of those ints out
+    assert type(call(key, *valid)) is int
+    arrays = [np.full(3, v) for v in valid]
+    assert call(key, *arrays).tolist() == [call(key, *valid)] * 3
+    assert call(key, *[a.astype(np.uint8) for a in arrays]).tolist() == [call(key, *valid)] * 3
+
+
+def test_a_table_build_checks_each_input_once(monkeypatch):
+    calls = []
+
+    def counted(value, bits, what, _fn=schemes._indices):
+        calls.append(what)
+        return _fn(value, bits, what)
+
+    monkeypatch.setattr(schemes, "_indices", counted)
+
+    def checks(step):
+        calls.clear()
+        step()
+        return sorted(calls)
+
+    for name in ("prf", "prp-ideal", "prp-feistel"):
+        scheme = _SCHEMES[name]
+        assert checks(lambda: oracles._enc_table(scheme, 5, 1)) == ["plaintext", "randomness"]
+    learning = games.Type1LearningOracle(_SCHEMES["prf"], 5, np.random.default_rng(0))
+    assert checks(lambda: learning.query_classical(2)) == ["plaintext", "randomness"]
+    # a block scheme re-checks each block's slices in its base's public entries
+    assert len(checks(lambda: oracles._enc_table(_SCHEMES["block"], 5, 1))) == 2 + 2 * 2
+    x = np.arange(16)
+    cores = [toy_prf(4, 2).evaluate, *(f.forward_core for f in _FAMILIES.values())]
+    cores += [f.inverse_core for f in _FAMILIES.values()]
+    for core in cores:
+        assert checks(lambda: core(5, x)) == []

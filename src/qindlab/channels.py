@@ -185,7 +185,7 @@ def avg_permutation_channel(
         raise ValueError("fewer free ciphertexts than plaintexts")
     table = None
     if n_perm is not None:
-        if n_perm < 1:
+        if _check_index(n_perm, "n_perm") < 1:
             raise ValueError("n_perm must be >= 1")
         if rng is None:
             raise ValueError("sampling needs an explicit rng")
@@ -272,8 +272,10 @@ def _certify(
     n_perm: int | None,
     seed: int | None,
 ) -> BoundReport:
-    if samples < 1:
+    if _check_index(samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
+    if n_perm is not None:
+        _check_index(n_perm, "n_perm")
     # exact runs above one message bit build no dense matrix: only the
     # 2m-wire probe and the (m + tau)-wire free set must fit
     if n_perm is not None or message_bits == 1:

@@ -24,14 +24,16 @@ registers; winning always means guess == challenge bit.
 
 All four share one challenger skeleton; only the learning oracle, the
 template checks and the challenge step differ. Every trial consumes
-randomness only from its own Generator, and estimate_advantage derives one
-child seed per trial up front, so aggregates are reproducible.
+randomness only from its own Generator, and estimate_advantage derives
+trial i's seed as the i-th child of the caller's seed, so aggregates are
+reproducible.
 
 Inputs are checked before any draw that uses them, and refused with
-GameSetupError: the strategy's games and forced b and r before the key, a
-learning query's registers and plaintext before its r, the template before
-b. Integers (b, r, plaintexts, the guess) pass ``_check_index``, so 1.5
-and 1.0 are refused, not truncated; registers have their sizes, and their
+GameSetupError: the strategy's games and a forced key, b and r before the
+key is drawn, a learning query's registers and plaintext before its r, the
+template before b. Integers (the key, b, r, plaintexts, the guess) pass
+``_check_index``, a key against the scheme's ``key_space``, so 1.5 and 1.0
+are refused, not truncated; registers have their sizes, and their
 wires pass one ``_check_wires`` together, which reads each wire the same way
 and keeps them disjoint. Each encryption step checks its wires once: the
 learning oracles and challenge steps call ``oracles``' unchecked cores.
@@ -322,8 +324,7 @@ def _play(
         challenge_bit = _refused(_check_index, challenge_bit, "challenge bit", 2)
     if challenge_randomness is not None:
         challenge_randomness = _refused(_check_randomness, scheme, challenge_randomness)
-    if key is None:
-        key = scheme.gen(rng)
+    key = scheme.gen(rng) if key is None else _refused(_check_index, key, "key", scheme.key_space)
     adv = strategy.start(scheme, rng)
     oracle = oracle_type(scheme, key, rng)
     if hasattr(adv, "learn"):
@@ -413,12 +414,16 @@ def estimate_advantage(
 ) -> AdvantageEstimate:
     """Run independent trials with per-trial derived seeds and aggregate.
 
-    Trial i always uses the i-th spawned child of SeedSequence(seed).
+    Trial i always uses the i-th spawned child of SeedSequence(seed), built
+    when the trial starts, so memory stays flat however many trials run.
     """
     eps = hoeffding_half_width(_check_index(trials, "trials"))
+    seq = np.random.SeedSequence(seed)
+    # numpy's spawn builds child i the same way: seq.spawn(trials)[i]
+    child = functools.partial(np.random.SeedSequence, seq.entropy, pool_size=seq.pool_size)
     wins = sum(
-        runner(scheme, strategy, np.random.default_rng(child)).win
-        for child in np.random.SeedSequence(seed).spawn(trials)
+        runner(scheme, strategy, np.random.default_rng(child(spawn_key=(*seq.spawn_key, i)))).win
+        for i in range(trials)
     )
     return _estimate(trials, int(wins), wins / trials, eps)
 

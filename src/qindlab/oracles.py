@@ -36,7 +36,7 @@ from .quantum_core import _axis_order, apply_basis_permutation
 from .schemes import ClassicalScheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncryptionUnitary:
     """A scheme lift at fixed (key, randomness), held as a basis permutation.
 
@@ -185,7 +185,6 @@ def _xor_plan(n: int, m: int, wires: tuple[int, ...]):
     return _xor_base(0, ell), (2**s, 2**m, 2 ** (t - s - m), 2**ell, -1), None
 
 
-@functools.lru_cache(maxsize=64)
 def _xor_base(m: int, ell: int) -> np.ndarray:
     """The frozen (2^m, 2^ell) table (x << ell) | y."""
     base = np.arange(2 ** (m + ell)).reshape(2**m, 2**ell)

@@ -328,7 +328,7 @@ def _gate_unitary(name: str) -> UnitaryOperator:
 # -- application ------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _axis_order(num_wires: int, wires: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Wire order with the register first, in listed order, then the other
     wires in ascending order; and the order that undoes it."""
@@ -412,10 +412,8 @@ def embed_unitary(
     _check_wires(num_wires, wires, unitary.num_wires)
     rest = num_wires - unitary.num_wires
     full = np.kron(unitary.matrix, np.eye(2**rest)) if rest else unitary.matrix
-    order = list(wires) + [w for w in range(num_wires) if w not in wires]
-    inv = np.argsort(order)
-    axes = list(inv) + [num_wires + i for i in inv]
-    t = full.reshape((2,) * (2 * num_wires)).transpose(axes)
+    _, inv = _axis_order(num_wires, wires)
+    t = full.reshape((2,) * (2 * num_wires)).transpose((*inv, *(num_wires + i for i in inv)))
     return UnitaryOperator(num_wires, t.reshape(2**num_wires, 2**num_wires))
 
 
@@ -429,11 +427,10 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     _check_wires(n, keep)
     if not keep:
         raise ValueError("must keep at least one wire")
-    drop = [w for w in range(n) if w not in keep]
     k = len(keep)
-    order = list(keep) + drop
+    order, _ = _axis_order(n, keep)
     t = rho.matrix.reshape((2,) * (2 * n))
-    t = t.transpose(order + [n + w for w in order])
+    t = t.transpose((*order, *(n + w for w in order)))
     t = t.reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
     return DensityMatrix(k, np.einsum("ajbj->ab", t))
 

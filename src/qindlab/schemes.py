@@ -11,10 +11,11 @@ family's ``forward`` and ``inverse``, a keyed function's call) checks its
 inputs once, with ``_indices``, and then runs an unchecked core. An int is
 read through the package's integer rule; an array must have an integer
 dtype, so a bool mask or a float array is refused, and every entry must lie
-in [0, 2^bits). Ints in, int out. A composition calls the cores of what it
-composes; only the block scheme calls its base's public entries, which
-re-check each block's slices. Keys are checked where a key table is read,
-before the table cache.
+in [0, 2^bits). The key is read through ``_check_index`` against the one
+width its owner declares (``key_bits``, a scheme's ``key_space``, which
+``gen`` draws from), before any key table is built. Ints in, int out. A
+composition calls the cores of what it composes; only the block scheme calls
+its base's public entries, which re-check the key and each block's slices.
 
 Each scheme may declare a type-2 completion: a keyed basis permutation phi on
 ell-bit strings, laid out as [x: m bits | y: ell-m bits], with
@@ -40,8 +41,8 @@ from .quantum_core import WIRE_CAP, _check_index
 
 _PRF_INPUT_CAP = 8
 # Tables are pure functions of their arguments, so an evicted table is
-# rebuilt identical; reuse is only needed within one trial's calls. Callers
-# check the key (``_check_index``) first: it is one of the uint32 seed words.
+# rebuilt identical; reuse is only needed within one trial's calls. The
+# public entries check the key first: it is one of the uint32 seed words.
 _TABLE_CACHE_SIZE = 64
 
 
@@ -61,14 +62,16 @@ def _indices(value, bits: int, what: str):
     return value.astype(np.int64, copy=False)
 
 
-def _checked(core: Callable, bits: tuple[int, ...], names: tuple[str, ...]) -> Callable:
-    """``core(key, *values)`` behind one ``_indices`` check per value, each
-    with its width and name. An array result is returned as it is; any other
-    result (a numpy scalar, when every input is an int) comes back an int."""
+def _checked(core: Callable, keys: int, bits: tuple, names: tuple) -> Callable:
+    """``core(key, *values)`` behind one check per input: the key an int in
+    [0, keys), each value an ``_indices`` check with its width and name. An
+    array result is returned as it is; any other result (a numpy scalar,
+    when every input is an int) comes back an int."""
 
     def entry(key, *values):
         if len(values) != len(bits):
             raise TypeError(f"expected a key and {len(bits)} inputs, got {len(values)} inputs")
+        key = _check_index(key, "key", keys)
         out = core(key, *map(_indices, values, bits, names))
         return out if isinstance(out, np.ndarray) else int(out)
 
@@ -86,7 +89,7 @@ class KeyedFunction:
     evaluate: Callable[[Any, Any], Any]
 
     def __call__(self, key, x):
-        return _checked(self.evaluate, (self.input_bits,), ("prf input",))(key, x)
+        return _checked(self.evaluate, 2**self.key_bits, (self.input_bits,), ("prf input",))(key, x)
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class ClassicalScheme:
     message_bits: int
     randomness_bits: int
     ciphertext_bits: int
-    key_space: int  # how many keys gen can return
-    gen: Callable[[np.random.Generator], Any]
+    key_space: int  # keys are the ints in [0, key_space); gen draws one uniformly
+    gen: Callable[[np.random.Generator], int]
     enc: Callable[[Any, Any, Any], Any]
     dec: Callable[[Any, Any], Any]
     # width of the core f in a split Enc_k(x; r) = r || f(k, r, x); None if none
@@ -130,7 +133,7 @@ def toy_prf(input_bits: int, output_bits: int) -> KeyedFunction:
         raise ValueError(f"toy_prf tables are capped at {_PRF_INPUT_CAP} input bits")
 
     def evaluate(key, x):
-        return _prf_table(_check_index(key, "key", 2**16), input_bits, output_bits)[x]
+        return _prf_table(key, input_bits, output_bits)[x]
 
     return KeyedFunction(input_bits, output_bits, 16, evaluate)
 
@@ -147,21 +150,20 @@ def constant_prf(input_bits: int, output_bits: int) -> KeyedFunction:
 class PermutationFamily:
     """Keyed permutations of {0,1}^block_bits with explicit inverses.
 
-    ``forward_core`` and ``inverse_core`` are unchecked and read blocks
-    already in range; ``forward`` and ``inverse`` check them first."""
+    ``forward_core`` and ``inverse_core`` are unchecked and read keys and
+    blocks already in range; ``forward`` and ``inverse`` check them first."""
 
     name: str
     block_bits: int
     key_bits: int
-    init: Callable[[np.random.Generator], Any]
     forward_core: Callable[[Any, Any], Any]
     inverse_core: Callable[[Any, Any], Any]
 
     def forward(self, key, x):
-        return _checked(self.forward_core, (self.block_bits,), ("block",))(key, x)
+        return _checked(self.forward_core, 2**self.key_bits, (self.block_bits,), ("block",))(key, x)
 
     def inverse(self, key, y):
-        return _checked(self.inverse_core, (self.block_bits,), ("block",))(key, y)
+        return _checked(self.inverse_core, 2**self.key_bits, (self.block_bits,), ("block",))(key, y)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -189,16 +191,13 @@ def ideal_prp_family(block_bits: int) -> PermutationFamily:
     if not 1 <= block_bits <= WIRE_CAP:
         raise ValueError(f"block_bits must be in 1..{WIRE_CAP}")
 
-    def init(rng: np.random.Generator):
-        return int(rng.integers(2**32))
-
     def forward(key, x):
-        return _ideal_table(_check_index(key, "key", 2**32), block_bits)[x]
+        return _ideal_table(key, block_bits)[x]
 
     def inverse(key, y):
-        return _ideal_inverse(_check_index(key, "key", 2**32), block_bits)[y]
+        return _ideal_inverse(key, block_bits)[y]
 
-    return PermutationFamily(f"ideal-{block_bits}", block_bits, 32, init, forward, inverse)
+    return PermutationFamily(f"ideal-{block_bits}", block_bits, 32, forward, inverse)
 
 
 def _feistel_round_table(key: int, rnd: int, half_bits: int) -> np.ndarray:
@@ -218,26 +217,19 @@ def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
     half = block_bits // 2
     mask = (1 << half) - 1
 
-    def init(rng: np.random.Generator):
-        return int(rng.integers(2**16))
-
     def forward(key, x):
-        key = _check_index(key, "key", 2**16)
         left, right = x >> half, x & mask
         for i in range(rounds):
             left, right = right, left ^ _feistel_round_table(key, i, half)[right]
         return (left << half) | right
 
     def inverse(key, y):
-        key = _check_index(key, "key", 2**16)
         left, right = y >> half, y & mask
         for i in reversed(range(rounds)):
             left, right = right ^ _feistel_round_table(key, i, half)[left], left
         return (left << half) | right
 
-    return PermutationFamily(
-        f"feistel-{block_bits}x{rounds}", block_bits, 16, init, forward, inverse
-    )
+    return PermutationFamily(f"feistel-{block_bits}x{rounds}", block_bits, 16, forward, inverse)
 
 
 def identity_permutation_family(block_bits: int) -> PermutationFamily:
@@ -245,7 +237,7 @@ def identity_permutation_family(block_bits: int) -> PermutationFamily:
     if block_bits < 1:
         raise ValueError("block_bits must be >= 1")
     return PermutationFamily(
-        f"identity-{block_bits}", block_bits, 0, lambda rng: 0, lambda k, x: x, lambda k, y: y
+        f"identity-{block_bits}", block_bits, 0, lambda k, x: x, lambda k, y: y
     )
 
 
@@ -253,22 +245,23 @@ def identity_permutation_family(block_bits: int) -> PermutationFamily:
 
 
 def _scheme(
-    name: str, m: int, tau: int, ell: int, keys: int, *, gen, enc, dec, core_bits, completion
+    name: str, m: int, tau: int, ell: int, keys: int, *, enc, dec, core_bits, completion
 ) -> ClassicalScheme:
-    """The scheme whose public entries check their inputs once, then run these cores."""
+    """The scheme with ``keys`` keys, drawn uniformly by ``gen``, whose public
+    entries check the key and their inputs once, then run these cores."""
     return ClassicalScheme(
         name=name,
         message_bits=m,
         randomness_bits=tau,
         ciphertext_bits=ell,
         key_space=keys,
-        gen=gen,
-        enc=_checked(enc, (tau, m), ("randomness", "plaintext")),
-        dec=_checked(dec, (ell,), ("ciphertext",)),
+        gen=lambda rng: int(rng.integers(keys)),
+        enc=_checked(enc, keys, (tau, m), ("randomness", "plaintext")),
+        dec=_checked(dec, keys, (ell,), ("ciphertext",)),
         core_bits=core_bits,
         type2_completion=None
         if completion is None
-        else _checked(completion, (tau, ell), ("randomness", "completion input")),
+        else _checked(completion, keys, (tau, ell), ("randomness", "completion input")),
     )
 
 
@@ -283,6 +276,7 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
             f"prf width mismatch: need {tau} -> {m}, got {prf.input_bits} -> {prf.output_bits}"
         )
     f, m_mask, t_mask = prf.evaluate, (1 << m) - 1, (1 << tau) - 1
+    # a keyless PRF still gives two keys, alike, so two distinct ones exist
     keys = 2 ** max(prf.key_bits, 1)
 
     def completion(key, r, z):
@@ -291,7 +285,6 @@ def prf_scheme(m: int, tau: int, prf: KeyedFunction | None = None) -> ClassicalS
 
     return _scheme(
         f"prf[m={m},tau={tau}]", m, tau, tau + m, keys,
-        gen=lambda rng: int(rng.integers(keys)),
         enc=lambda key, r, x: (r << m) | (f(key, r) ^ x),
         dec=lambda key, y: (y & m_mask) ^ f(key, y >> m),
         core_bits=m,
@@ -315,7 +308,6 @@ def prp_scheme(m: int, tau: int, family: PermutationFamily) -> ClassicalScheme:
     forward, inverse = family.forward_core, family.inverse_core
     return _scheme(
         f"prp[m={m},tau={tau},{family.name}]", m, tau, m + tau, 2**family.key_bits,
-        gen=family.init,
         enc=lambda key, r, x: forward(key, (x << tau) | r),
         dec=lambda key, y: inverse(key, y) >> tau,
         core_bits=m if tau == 0 else None,
@@ -359,7 +351,6 @@ def block_scheme(base: ClassicalScheme, mu: int) -> ClassicalScheme:
 
     return _scheme(
         f"block[mu={mu},{base.name}]", mu * m_b, mu * t_b, mu * c_b, base.key_space,
-        gen=base.gen,
         enc=enc,
         dec=dec,
         core_bits=base.core_bits if mu == 1 else None,

@@ -30,7 +30,7 @@ from qindlab.games import (
     run_qind_qcpa,
     with_learning_queries,
 )
-from qindlab.channels import certify_corollary_bound
+from qindlab.channels import certify_corollary_bound, certify_lemma_bound
 from qindlab.quantum_core import (
     H,
     X,
@@ -43,6 +43,7 @@ from qindlab.schemes import (
     block_scheme,
     constant_prf,
     ideal_prp_family,
+    identity_permutation_family,
     prf_scheme,
     prp_scheme,
 )
@@ -565,9 +566,12 @@ def test_qind_rebuilds_a_mixed_description_one_component_per_trial():
         lambda v: attacks.HadamardBitProbe(v),
         lambda v: EntangledBlockProbe(v),
         lambda v: certify_corollary_bound(1, 3, (v,), samples=1),
+        lambda v: certify_lemma_bound(1, 1, samples=v),
+        lambda v: certify_lemma_bound(1, 3, samples=1, n_perm=v, seed=0),
         lambda v: H(v),
     ],
-    ids=["key_count", "distinct_keys", "trials", "queries", "probe_wire", "mu", "taken", "wire"],
+    ids=["key_count", "distinct_keys", "trials", "queries", "probe_wire", "mu", "taken",
+         "samples", "n_perm", "wire"],
 )
 def test_count_and_index_arguments_must_be_integers(call):
     # key_count=1.5 evaluated 2 keys, taken output 1.5 was certified as 1
@@ -817,9 +821,10 @@ def test_over_wide_type2_challenges_are_refused_before_b(game, scheme, template)
         lambda: FqindChallenge(zero_state(3), (0,), (1,), (2,)),
         lambda: GqindChallenge(zero_state(2), (0,), (1,)),
         lambda: games.GqindResponse(zero_state(2), (0, 1), ()),
+        lambda s=prf_scheme(1, 1): oracles.type1_unitary(s, 3, 1),  # one scheme for both
     ],
     ids=["StateVector", "DensityMatrix", "UnitaryOperator", "FqindChallenge",
-         "GqindChallenge", "GqindResponse"],
+         "GqindChallenge", "GqindResponse", "EncryptionUnitary"],
 )
 def test_values_holding_a_state_compare_by_identity(make):
     value = make()
@@ -856,3 +861,50 @@ def test_each_encryption_step_checks_its_wires_once(monkeypatch):
     assert count(lambda: type2.query(zero_state(3), (2, 0)))["_fresh_register"] == 1
     for runner in (run_qind_qcpa, run_gqind_qcpa):
         assert count(lambda: runner(scheme, qlp, rng))["_fresh_register"] == 0
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [prf_scheme(1, 1), prp_scheme(1, 0, identity_permutation_family(1))],
+    ids=["prf", "prp-identity"],
+)
+def test_forced_keys_are_refused_before_any_draw(scheme):
+    # key=1.5 was refused only after b and r were drawn; a keyless scheme
+    # played key=-5
+    for key in (1.5, -1, -5, scheme.key_space, "1"):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(GameSetupError, match="key"):
+            run_qind_qcpa(scheme, qlp_distinguisher(), rng, key=key)
+        assert rng.bit_generator.state == state
+    top = scheme.key_space - 1
+    plays = [
+        run_qind_qcpa(scheme, qlp_distinguisher(), np.random.default_rng(3), key=k)
+        for k in (top, np.int64(top))
+    ]
+    assert plays[0] == plays[1]
+
+
+def test_trial_i_plays_the_ith_spawned_child_seed():
+    def first_draw(scheme, strategy, rng):
+        draws.append(int(rng.integers(2**62)))
+        return GameOutcome("ind", 0, 0, True, (), 0)
+
+    for seed in (1001, [3, 4]):
+        draws = []
+        estimate_advantage(first_draw, prf_scheme(1, 1), RandomGuesser(), 50, seed)
+        children = np.random.SeedSequence(seed).spawn(50)
+        assert draws == [int(np.random.default_rng(c).integers(2**62)) for c in children]
+
+
+def test_estimate_advantage_memory_does_not_grow_with_trials():
+    # one SeedSequence per trial was held for the whole call: 445 B a trial
+    def win(scheme, strategy, rng):
+        return GameOutcome("ind", 0, 0, True, (), 0)
+
+    scheme, guesser = prf_scheme(1, 1), RandomGuesser()
+    small, large = (
+        _traced_peak(lambda: estimate_advantage(win, scheme, guesser, trials, 7))
+        for trials in (2_000, 20_000)
+    )
+    assert large <= small + 64 * 1024, (small, large)

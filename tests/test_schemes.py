@@ -113,7 +113,7 @@ def test_ideal_family_keys_give_distinct_tables():
 @pytest.mark.parametrize("bits", [9, 10, 14])
 def test_wide_ideal_family_is_an_explicit_bijection(bits):
     fam = ideal_prp_family(bits)
-    key = fam.init(np.random.default_rng(bits))
+    key = int(np.random.default_rng(bits).integers(2**fam.key_bits))
     domain = np.arange(2**bits)
     image = np.asarray(fam.forward(key, domain))
     assert np.array_equal(np.sort(image), domain)
@@ -141,7 +141,7 @@ def test_feistel_family_is_a_permutation():
 
 def test_identity_family_maps_everything_to_itself():
     fam = identity_permutation_family(3)
-    assert all(fam.forward(5, x) == x for x in range(8))
+    assert all(fam.forward(0, x) == x for x in range(8))
 
 
 def test_constant_prf_ignores_input():
@@ -313,10 +313,13 @@ _ENTRIES = {entry[0]: entry[1:] for entry in _entries()}
 _TABLE_CACHES = (schemes._prf_table, schemes._ideal_table, schemes._ideal_inverse)
 
 
+_KEYLESS = ("prp-identity.", "identity.", "constant_prf")
+
+
 @pytest.mark.parametrize("name", list(_ENTRIES))
 def test_every_entry_refuses_inputs_outside_the_integers_in_range(name):
     call, valid, specs = _ENTRIES[name]
-    key = 7
+    key = 0 if name.startswith(_KEYLESS) else 7
     for i, (bits, what) in enumerate(specs):
         top = 2**bits
         for bad in (
@@ -370,3 +373,71 @@ def test_a_table_build_checks_each_input_once(monkeypatch):
     cores += [f.inverse_core for f in _FAMILIES.values()]
     for core in cores:
         assert checks(lambda: core(5, x)) == []
+
+
+def test_keyless_families_take_key_zero_only():
+    # each returned a value for any key, a string or None included
+    for call in (
+        lambda: identity_permutation_family(3).forward("abc", 1),
+        lambda: prp_scheme(2, 1, identity_permutation_family(3)).enc(-7, 0, 1),
+        lambda: prf_scheme(2, 2, constant_prf(2, 2)).enc(None, 1, 1),
+        lambda: constant_prf(2, 2)(1, 3),
+        lambda: identity_permutation_family(3).inverse(1, 1),
+    ):
+        with pytest.raises(ValueError, match="key"):
+            call()
+    assert identity_permutation_family(3).forward(np.int64(0), 5) == 5
+    assert constant_prf(2, 2)(0, 3) == 0
+
+
+@pytest.mark.parametrize("name", list(_SCHEMES))
+def test_every_scheme_entry_checks_the_key_against_its_key_space(name):
+    s = _SCHEMES[name]
+    entries = (
+        lambda k: s.enc(k, 1, 2),
+        lambda k: s.dec(k, 3),
+        lambda k: s.type2_completion(k, 1, 3),
+    )
+    for entry in entries:
+        for bad in (s.key_space, -1, 1.5, "1", None):
+            with pytest.raises(ValueError, match="key"):
+                entry(bad)
+        assert entry(np.int64(s.key_space - 1)) == entry(s.key_space - 1)
+    keys = [s.gen(np.random.default_rng(seed)) for seed in range(16)]
+    assert all(type(k) is int and 0 <= k < s.key_space for k in keys)
+
+
+# seed 2424: the key gen draws, then the Generator's PCG64 state word,
+# has_uint32 and uinteger after the draw
+_GEN_DRAWS = {
+    "prf": (prf_scheme(2, 2), (18024, 129241938942159403742249005449327455136, 1, 2428595278)),
+    "prf-constant": (
+        prf_scheme(2, 2, constant_prf(2, 2)),
+        (0, 129241938942159403742249005449327455136, 1, 2428595278),
+    ),
+    "prp-ideal": (
+        prp_scheme(2, 1, ideal_prp_family(3)),
+        (1181244415, 129241938942159403742249005449327455136, 1, 2428595278),
+    ),
+    "prp-feistel": (
+        prp_scheme(2, 2, feistel_prp_family(4)),
+        (18024, 129241938942159403742249005449327455136, 1, 2428595278),
+    ),
+    "prp-identity": (
+        prp_scheme(2, 1, identity_permutation_family(3)),
+        (0, 261264053305585850669550908998420226575, 0, 0),
+    ),
+    "block": (
+        block_scheme(prp_scheme(1, 1, ideal_prp_family(2)), 2),
+        (1181244415, 129241938942159403742249005449327455136, 1, 2428595278),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GEN_DRAWS))
+def test_gen_draws_are_pinned(name):
+    scheme, expected = _GEN_DRAWS[name]
+    rng = np.random.default_rng(2424)
+    key = scheme.gen(rng)
+    state = rng.bit_generator.state
+    assert (key, state["state"]["state"], state["has_uint32"], state["uinteger"]) == expected

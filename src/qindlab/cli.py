@@ -8,7 +8,9 @@ to the applicable bound), lemma (channel-distance certification), equiv
 One JSON document per run on stdout (or --out). Everything in the document
 is a pure function of the echoed config; wall-clock lives in a separate
 "timing" key that --no-timing omits, so reruns are byte-comparable.
-Exit codes: 0 pass, 1 bound or acceptance violation, 2 usage error.
+Exit codes: 0 pass, 1 bound or acceptance violation, 2 usage error. The
+library checks its own inputs and size caps, so a request too wide to
+simulate is the library's refusal, reported as a usage error.
 
 Flag values beat --config file entries, which are read as the flags of the
 same name and beat the flags' defaults; the effective values are echoed
@@ -30,7 +32,6 @@ from typing import Callable
 
 from . import __version__, acceptance, attacks, channels, games, schemes
 from .games import GameSetupError
-from .quantum_core import WIRE_CAP
 
 SCHEMA_VERSION = 1
 
@@ -201,26 +202,11 @@ def _build_scheme(cfg: dict) -> schemes.ClassicalScheme:
     if kind != "block" and mu != 1:
         raise UsageError("mu applies to the block scheme only")
     if kind == "prf":
-        if tau < 1:
-            raise UsageError("the prf scheme needs tau >= 1")
         return schemes.prf_scheme(m, tau)
     base = schemes.prp_scheme(m, tau, _FAMILIES[cfg["family"]](m + tau, cfg["rounds"]))
     if kind == "prp":
         return base
     return schemes.block_scheme(base, mu)
-
-
-def _check_wire_budget(game: str, scheme: schemes.ClassicalScheme) -> None:
-    m, ell = scheme.message_bits, scheme.ciphertext_bits
-    # gqind peaks at max(two message registers, ciphertext) because the
-    # unchosen register is measured away before the ancilla attach
-    need = {
-        "fqind": 2 * m + ell,
-        "qind": ell,
-        "gqind": max(2 * m, ell),
-    }[game]
-    if need > WIRE_CAP:
-        raise UsageError(f"game {game} needs {need} wires; the simulator cap is {WIRE_CAP}")
 
 
 def cmd_attack(cfg: dict) -> tuple[dict, int]:
@@ -229,7 +215,6 @@ def cmd_attack(cfg: dict) -> tuple[dict, int]:
     if game not in attack.games:
         raise UsageError(f"{name} requires {'/'.join(attack.games)}")
     scheme = _build_scheme(cfg)
-    _check_wire_budget(game, scheme)
     strategy = attack(force=cfg["force"]) if name == "qlp" else attack()
     strategy = games.with_learning_queries(strategy, cfg["q"])
     expected = attack.expected_win_rate(scheme)
@@ -267,7 +252,6 @@ _SECURE_ADVERSARIES: dict[str, Callable[[dict], games.AdversaryStrategy]] = {
 def cmd_secure(cfg: dict) -> tuple[dict, int]:
     scheme = _build_scheme(cfg)
     game = cfg["game"]
-    _check_wire_budget(game, scheme)
     name = cfg["adversary"]
     strategy = _SECURE_ADVERSARIES[name](cfg)
     if game not in strategy.games:

@@ -37,6 +37,9 @@ are refused, not truncated; registers have their sizes, and their
 wires pass one ``_check_wires`` together, which reads each wire the same way
 and keeps them disjoint. Each encryption step checks its wires once: the
 learning oracles and challenge steps call ``oracles``' unchecked cores.
+The games own the wire budget: every width a game allocates (a fixed
+template, a type-2 query's register, a qind or gqind response) is refused
+against the cap before it is built.
 
 A strategy whose templates are fixed declares its qind pair as
 ``descriptions(m)``; ``_template`` builds every fixed template from that pair
@@ -414,16 +417,14 @@ def estimate_advantage(
 ) -> AdvantageEstimate:
     """Run independent trials with per-trial derived seeds and aggregate.
 
-    Trial i always uses the i-th spawned child of SeedSequence(seed), built
-    when the trial starts, so memory stays flat however many trials run.
+    Trial i plays the i-th child of SeedSequence(seed), spawned when the
+    trial starts, so memory stays flat however many trials run.
     """
     eps = hoeffding_half_width(_check_index(trials, "trials"))
     seq = np.random.SeedSequence(seed)
-    # numpy's spawn builds child i the same way: seq.spawn(trials)[i]
-    child = functools.partial(np.random.SeedSequence, seq.entropy, pool_size=seq.pool_size)
     wins = sum(
-        runner(scheme, strategy, np.random.default_rng(child(spawn_key=(*seq.spawn_key, i)))).win
-        for i in range(trials)
+        runner(scheme, strategy, np.random.default_rng(seq.spawn(1)[0])).win
+        for _ in range(trials)
     )
     return _estimate(trials, int(wins), wins / trials, eps)
 
@@ -483,10 +484,12 @@ def _template(strategy, game: str, m: int, ell: int):
     """What ``strategy`` sends in ``game`` at m message and ell ciphertext
     bits: its qind pair ``strategy.descriptions(m)``, or the pair's product
     state on two m-wire registers, then in fqind an ell-wire |0> response.
-    Immutable, so built once and shared by every trial."""
+    Immutable, so built once and shared by every trial; a width over the
+    cap is refused before anything is tensored."""
     pair = strategy.descriptions(m)
     if game == "qind":
         return pair
+    _refused(_check_wire_count, 2 * m + (ell if game == "fqind" else 0))
     amps = np.kron(*(run_gates(m, d.gates).amplitudes for d in pair))
     registers = tuple(range(m)), tuple(range(m, 2 * m))
     if game == "gqind":

@@ -30,9 +30,9 @@ from typing import Any
 
 import numpy as np
 
-from .quantum_core import StateVector, UnitaryOperator, _check_index, _check_permutation
-from .quantum_core import _check_wire_count, _check_wires, _flat_amplitudes, _owned_state
-from .quantum_core import _axis_order, apply_basis_permutation
+from .quantum_core import StateVector, UnitaryOperator, _check_dense, _check_index
+from .quantum_core import _check_permutation, _check_wire_count, _check_wires
+from .quantum_core import _axis_order, _flat_amplitudes, _owned_state, apply_basis_permutation
 from .schemes import ClassicalScheme
 
 
@@ -66,6 +66,7 @@ class EncryptionUnitary:
 
     def operator(self) -> UnitaryOperator:
         """Dense 0/1 permutation matrix (small wire counts only)."""
+        _check_dense(self.num_wires)
         mat = np.zeros((self.dim, self.dim), dtype=np.complex128)
         mat[self.permutation, np.arange(self.dim)] = 1.0
         return UnitaryOperator(self.num_wires, mat)

@@ -68,6 +68,17 @@ def _check_wire_count(num_wires: int) -> None:
         raise ValueError(f"num_wires {num_wires} exceeds the cap of {WIRE_CAP}")
 
 
+def _check_dense(num_wires: int) -> None:
+    """A dense matrix's wire count: a state's, and at most ``_DENSE_CAP``.
+    Every dense builder calls it before it allocates."""
+    _check_wire_count(num_wires)
+    if num_wires > _DENSE_CAP:
+        raise ValueError(
+            f"dense matrices are capped at {_DENSE_CAP} wires; "
+            "use basis-permutation application for larger operators"
+        )
+
+
 def _check_wires(num_wires: float, wires: tuple[int, ...], expected: int | None = None) -> None:
     """``expected`` wires if given, each an integer in [0, num_wires) read
     through ``_check_index`` unless a plain int in range, and no wire twice;
@@ -185,12 +196,7 @@ class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_wire_count(self.num_wires)
-        if self.num_wires > _DENSE_CAP:
-            raise ValueError(
-                f"dense unitaries are capped at {_DENSE_CAP} wires; "
-                "use basis-permutation application for larger operators"
-            )
+        _check_dense(self.num_wires)
         d = 2**self.num_wires
         arr = _frozen_array(self.matrix, (d, d))
         object.__setattr__(self, "matrix", arr)
@@ -293,11 +299,9 @@ def zero_state(num_wires: int) -> StateVector:
     return state_from_bits("0" * num_wires)
 
 
-@functools.lru_cache(maxsize=None)
 def hadamard_all(m: int) -> UnitaryOperator:
     """m-fold tensor Hadamard; entry (i, j) = (-1)^popcount(i & j) / 2^(m/2)."""
-    if m < 1:
-        raise ValueError("hadamard_all requires m >= 1")
+    _check_dense(m)
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     mat = np.array([[1.0]])
     for _ in range(m):
@@ -305,7 +309,7 @@ def hadamard_all(m: int) -> UnitaryOperator:
     return UnitaryOperator(m, mat.astype(np.complex128))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=len(_GATE_ARITY))
 def _gate_unitary(name: str) -> UnitaryOperator:
     s = 1 / np.sqrt(2.0)
     table = {
@@ -408,6 +412,7 @@ def embed_unitary(
     unitary: UnitaryOperator, num_wires: int, wires: tuple[int, ...]
 ) -> UnitaryOperator:
     """Dense embedding of ``unitary`` on the listed wires of a larger register."""
+    _check_dense(num_wires)
     wires = tuple(wires)
     _check_wires(num_wires, wires, unitary.num_wires)
     rest = num_wires - unitary.num_wires

@@ -418,6 +418,53 @@ def test_wire_budget_is_checked_before_running(capsys):
     assert "wires" in err
 
 
+_OVER_WIDE = {
+    # 2m + ell = 20 wires
+    "fqind": ["attack", "--name", "bz", "--scheme", "prf", "--m", "5", "--tau", "5"],
+    # ell = 15 wires
+    "qind": ["attack", "--name", "qlp", "--scheme", "prf", "--m", "7", "--tau", "8"],
+    "gqind": ["attack", "--name", "qlp", "--scheme", "prf", "--m", "7", "--tau", "8"],
+}
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+@pytest.mark.parametrize("game", sorted(_OVER_WIDE))
+def test_an_over_wide_attack_exits_2_with_empty_stdout(capsys, game, mode):
+    argv = _OVER_WIDE[game] + ["--game", game, "--mode", mode, "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "wires" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # two 8-wire message registers: a 16-wire template
+        ["attack", "--name", "qlp", "--scheme", "prf", "--m", "8", "--tau", "1",
+         "--game", "gqind"],
+        # two 8-wire message registers of four blocks each
+        ["secure", "--scheme", "block", "--mu", "4", "--game", "gqind"],
+    ],
+)
+def test_an_over_wide_gqind_template_exits_2_with_empty_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, argv + ["--seed", "1", "--trials", "10"])
+    assert (code, out) == (2, "")
+    assert "wires" in err
+
+
+def test_exact_gqind_reports_the_qind_value_past_a_template_it_never_builds(capsys):
+    # the exact evaluator scores the qind challenge: 9 wires at m = 8, tau = 1
+    argv = ["attack", "--name", "qlp", "--scheme", "prf", "--m", "8", "--tau", "1",
+            "--mode", "exact", "--no-timing"]
+    estimates = []
+    for game in ("gqind", "qind"):
+        code, out, _ = run_cli(capsys, argv + ["--game", game])
+        assert code == 0
+        estimates.append(json.loads(out)["results"]["estimate"])
+    assert estimates[0] == estimates[1]
+    assert estimates[0]["win_rate"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_lemma_above_the_dense_cap_exits_2_before_building(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("built a channel above the dense cap")

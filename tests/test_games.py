@@ -775,6 +775,37 @@ def test_gapped_fqind_trials_peak_no_higher_than_contiguous_ones():
     assert peak[0] <= 1.05 * peak[1], peak
 
 
+def _refusal_peak(step) -> int:
+    """``_traced_peak`` of a step the games must refuse over the wire cap."""
+
+    def refused():
+        with pytest.raises(GameSetupError, match="exceeds the cap of 14"):
+            step()
+
+    return _traced_peak(refused)
+
+
+@pytest.mark.parametrize(
+    "game,m,tau,strategy",
+    [
+        ("fqind", 4, 4, bz_adversary),  # 2m + ell = 16 wires
+        ("gqind", 8, 1, qlp_distinguisher),  # 2m = 16 wires
+        ("gqind", 8, 1, RandomGuesser),
+    ],
+)
+def test_an_over_wide_template_is_refused_before_it_is_built(game, m, tau, strategy):
+    # a built 16-wire template holds 1 MB of amplitudes
+    scheme, runner = prf_scheme(m, tau), GAME_RUNNERS[game]
+    peak = _refusal_peak(lambda: runner(scheme, strategy(), np.random.default_rng(5)))
+    assert peak < 64 * 1024, peak
+
+
+def test_the_exact_evaluator_refuses_an_over_wide_template_before_building_it():
+    scheme, bz = prf_scheme(4, 4), bz_adversary()
+    peak = _refusal_peak(lambda: bz.exact_win_probability(scheme, 0, 0))
+    assert peak < 64 * 1024, peak
+
+
 def test_encryption_steps_hold_their_output_and_one_index():
     scheme = prf_scheme(3, 5)
     m, ell = scheme.message_bits, scheme.ciphertext_bits

@@ -1,7 +1,11 @@
 """State-vector conventions, measurement, and distance measures."""
 
+import functools
 import gc
+import importlib
 import math
+import pkgutil
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qindlab
 from qindlab import quantum_core
-from qindlab.oracles import EncryptionUnitary
+from qindlab.oracles import EncryptionUnitary, type1_unitary
 from qindlab.quantum_core import (
     CNOT,
     DENSITY_ATOL,
@@ -41,6 +46,7 @@ from qindlab.quantum_core import (
     zero_state,
 )
 from qindlab.quantum_core import _measure_block, _owned_state
+from qindlab.schemes import prf_scheme
 
 
 def test_wire_zero_is_most_significant():
@@ -69,6 +75,39 @@ def test_a_float_wire_count_is_refused():
         with pytest.raises(ValueError, match="num_wires must be a positive integer, got 2.0"):
             build(2.0)
         assert np.array_equal(build(np.int64(2)).amplitudes, build(2).amplitudes)
+
+
+def test_dense_builders_check_the_cap_before_they_allocate():
+    # built, each matrix would hold 32 MB (2^22 complex entries) or more
+    h1, lift = hadamard_all(1), type1_unitary(prf_scheme(3, 5), 0, 0)
+    assert lift.num_wires == 11
+    builds = (lambda: hadamard_all(11), lambda: embed_unitary(h1, 11, (0,)), lift.operator)
+    for build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped at 10"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("m", [2.0, 0, -1])
+def test_hadamard_all_refuses_a_count_that_is_not_a_positive_integer(m):
+    with pytest.raises(ValueError, match="positive integer"):
+        hadamard_all(m)
+
+
+def test_every_cache_in_the_package_is_bounded():
+    sizes = {}
+    for info in pkgutil.iter_modules(qindlab.__path__, "qindlab."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, functools._lru_cache_wrapper):
+                name = f"{value.__module__}.{value.__qualname__}"
+                sizes[name] = value.cache_parameters()["maxsize"]
+    assert sizes
+    assert [name for name, size in sizes.items() if size is None] == []
 
 
 def test_hadamard_all_gives_uniform_superposition():

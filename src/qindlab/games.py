@@ -24,9 +24,10 @@ registers; winning always means guess == challenge bit.
 
 All four share one challenger skeleton; only the learning oracle, the
 template checks and the challenge step differ. Every trial consumes
-randomness only from its own Generator, and estimate_advantage derives
-trial i's seed as the i-th child of the caller's seed, so aggregates are
-reproducible.
+randomness only from its own Generator, in one order: key, adversary start,
+the padded queries' r values, ``learn``'s queries, b, r, then the challenge
+step. estimate_advantage derives trial i's seed as the i-th child of the
+caller's seed, so aggregates are reproducible.
 
 Inputs are checked before any draw that uses them, and refused with
 GameSetupError: the strategy's games and a forced key, b and r before the
@@ -152,10 +153,12 @@ class GqindResponse:
 
 
 class AdversaryStrategy:
-    """Factory producing one adversary instance per trial."""
+    """Factory producing one adversary instance per trial. The challenger
+    makes ``padded_queries`` learning queries for it before its ``learn``."""
 
     name: str = "adversary"
     games: tuple[str, ...] = ()
+    padded_queries: int = 0
 
     def start(self, scheme: ClassicalScheme, rng: np.random.Generator) -> Any:
         raise NotImplementedError
@@ -176,7 +179,9 @@ class _LearningOracle:
         self.query_count = 0
         self.randomness_used: list[int] = []
 
-    def _next_r(self) -> int:
+    def draw_query(self) -> int:
+        """One query's fresh r, counted and recorded. A padded query is this
+        draw alone: no Enc, since nobody reads its answer."""
         r = _fresh_randomness(self._scheme, self._rng)
         self.query_count += 1
         self.randomness_used.append(r)
@@ -185,7 +190,7 @@ class _LearningOracle:
     def query_classical(self, x: int) -> int:
         """Basis-state query; returns the classical ciphertext."""
         x = _refused(_check_index, x, "plaintext", 2**self._scheme.message_bits)
-        return int(self._scheme.enc(self._key, self._next_r(), x))
+        return int(self._scheme.enc(self._key, self.draw_query(), x))
 
 
 class Type1LearningOracle(_LearningOracle):
@@ -202,7 +207,7 @@ class Type1LearningOracle(_LearningOracle):
             raise GameSetupError(f"type-1 query needs {m} message and {ell} response wires")
         wires = (*message_wires, *response_wires)
         _refused(_check_wires, state.num_wires, wires)
-        return _xor_encrypt(self._scheme, self._key, self._next_r(), state, wires)
+        return _xor_encrypt(self._scheme, self._key, self.draw_query(), state, wires)
 
 
 class Type2LearningOracle(_LearningOracle):
@@ -216,7 +221,7 @@ class Type2LearningOracle(_LearningOracle):
         if len(message_wires) != m:
             raise GameSetupError(f"type-2 query needs {m} message wires")
         wires = _refused(_fresh_register, self._scheme, state.num_wires, message_wires)
-        return _encrypt_fresh(self._scheme, self._key, self._next_r(), state, wires), wires
+        return _encrypt_fresh(self._scheme, self._key, self.draw_query(), state, wires), wires
 
 
 # -- per-game challenge steps ---------------------------------------------------
@@ -317,8 +322,9 @@ def _play(
 ) -> GameOutcome:
     """The challenger shared by all four games.
 
-    Draws from rng in a fixed order: key, adversary start, learning queries,
-    challenge bit, challenge randomness, then the challenge step.
+    Draws from rng in a fixed order: key, adversary start, the padded
+    queries' r values, ``learn``'s queries, challenge bit b, challenge
+    randomness r, then the challenge step.
     """
     if game not in strategy.games:
         raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
@@ -330,6 +336,8 @@ def _play(
     key = scheme.gen(rng) if key is None else _refused(_check_index, key, "key", scheme.key_space)
     adv = strategy.start(scheme, rng)
     oracle = oracle_type(scheme, key, rng)
+    for _ in range(strategy.padded_queries):
+        oracle.draw_query()
     if hasattr(adv, "learn"):
         adv.learn(oracle)
     template = getattr(adv, f"{game}_template")()
@@ -568,37 +576,24 @@ class ConstantGuesser(_Guesser):
         self.name = f"constant{self.bit}"
 
 
-class _PaddedTrial:
-    def __init__(self, inner, count: int) -> None:
-        self._inner = inner
-        self._count = count
-
-    def learn(self, oracle) -> None:
-        for _ in range(self._count):
-            oracle.query_classical(0)
-        if hasattr(self._inner, "learn"):
-            self._inner.learn(oracle)
-
-    def __getattr__(self, item):
-        return getattr(self._inner, item)
-
-
 class _PaddedStrategy(AdversaryStrategy):
     def __init__(self, base: AdversaryStrategy, count: int) -> None:
         self._base = base
-        self._count = count
+        self.padded_queries = count + base.padded_queries
         self.name = f"{base.name}+q{count}"
         self.games = base.games
 
     def start(self, scheme, rng):
-        return _PaddedTrial(self._base.start(scheme, rng), self._count)
+        return self._base.start(scheme, rng)
 
 
 def with_learning_queries(strategy: AdversaryStrategy, count: int) -> AdversaryStrategy:
-    """Pad a strategy with ``count`` classical learning queries (results unused).
+    """Pad a strategy with ``count`` classical learning queries before its own.
 
-    The queries are real oracle calls, so transcripts and the taken-output
-    budget |T| = q * mu * 2^m they feed are honest.
+    The draws are real: each query's r, drawn where an answered query draws
+    it, counts in ``query_count`` and ``randomness_used``. No ciphertext is
+    computed: nobody reads it, and the taken-output budget |T| = q * mu * 2^m
+    counts queries, not answers.
     """
     count = _check_index(count, "learning query count")
     return strategy if count == 0 else _PaddedStrategy(strategy, count)

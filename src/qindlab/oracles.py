@@ -247,6 +247,7 @@ def type1_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:
     """XOR-register lift of Enc_k(.; r) on message + ciphertext wires."""
     r = _check_randomness(scheme, r)
     m, ell = scheme.message_bits, scheme.ciphertext_bits
+    _check_wire_count(m + ell)
     table = _xor_lift(_enc_table(scheme, key, r), ell)
     return EncryptionUnitary("type1", scheme, key, r, m + ell, table)
 
@@ -257,6 +258,7 @@ def type1_decryption_unitary(scheme: ClassicalScheme, key) -> EncryptionUnitary:
     Decryption takes no randomness, so the oracle carries randomness 0.
     """
     m, ell = scheme.message_bits, scheme.ciphertext_bits
+    _check_wire_count(ell + m)
     dec = np.asarray(scheme.dec(key, np.arange(2**ell)), dtype=np.int64)
     return EncryptionUnitary("type1-dec", scheme, key, 0, ell + m, _xor_lift(dec, m))
 
@@ -271,6 +273,7 @@ def type2_unitary(scheme: ClassicalScheme, key, r: int) -> EncryptionUnitary:
     if scheme.type2_completion is None:
         raise ValueError(f"scheme {scheme.name} declares no type-2 completion")
     m, ell = scheme.message_bits, scheme.ciphertext_bits
+    _check_wire_count(ell)
     perm = np.asarray(scheme.type2_completion(key, r, np.arange(2**ell)), dtype=np.int64)
     oracle = EncryptionUnitary("type2", scheme, key, r, ell, perm)
     if not np.array_equal(perm[np.arange(2**m) << (ell - m)], _enc_table(scheme, key, r)):
@@ -312,6 +315,7 @@ def type2_from_type1(u1_enc: EncryptionUnitary, u1_dec: EncryptionUnitary) -> En
         raise ValueError("oracles must share scheme and key")
     scheme = u1_enc.scheme
     m, ell = scheme.message_bits, scheme.ciphertext_bits
+    _check_wire_count(2 * ell)
     anc = ell - m
     mask_ell, mask_m, mask_anc = (1 << ell) - 1, (1 << m) - 1, (1 << anc) - 1
     i = np.arange(2 ** (2 * ell))

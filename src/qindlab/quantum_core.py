@@ -43,9 +43,6 @@ DENSITY_ATOL = 1e-9
 # Dense matrices above this wire count are refused (the permutation-table path
 # in oracles covers the large cases).
 _DENSE_CAP = 10
-# Positive-semidefiniteness is verified by Cholesky factorization up to this
-# dimension; larger matrices check Hermiticity and trace only.
-_PSD_CHECK_DIM = 512
 
 
 def _check_index(value, what: str, size: float = math.inf) -> int:
@@ -127,6 +124,7 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def to_density(self) -> DensityMatrix:
+        _check_dense(self.num_wires)
         return DensityMatrix(self.num_wires, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
@@ -156,13 +154,14 @@ def _owned_state(num_wires: int, amplitudes: np.ndarray) -> StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Mixed state on ``num_wires`` qubits: Hermitian, PSD, unit trace."""
+    """Mixed state on ``num_wires`` qubits: Hermitian, PSD, unit trace, at
+    most ``_DENSE_CAP`` wires."""
 
     num_wires: int
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_wire_count(self.num_wires)
+        _check_dense(self.num_wires)
         d = 2**self.num_wires
         arr = _frozen_array(self.matrix, (d, d))
         object.__setattr__(self, "matrix", arr)
@@ -171,17 +170,16 @@ class DensityMatrix:
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > DENSITY_ATOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-        if d <= _PSD_CHECK_DIM:
-            # arr + atol I has a Cholesky factor iff its least eigenvalue is
-            # above -atol; only a failed factorization pays for the spectrum
-            shifted = arr.copy()
-            shifted.ravel()[:: d + 1] += DENSITY_ATOL
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                low = np.linalg.eigvalsh(arr).min()
-                if low < -DENSITY_ATOL:
-                    raise ValueError(f"density matrix has negative eigenvalue {low}") from None
+        # arr + atol I has a Cholesky factor iff its least eigenvalue is above
+        # -atol; only a failed factorization pays for the spectrum
+        shifted = arr.copy()
+        shifted.ravel()[:: d + 1] += DENSITY_ATOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(arr).min()
+            if low < -DENSITY_ATOL:
+                raise ValueError(f"density matrix has negative eigenvalue {low}") from None
 
     @property
     def dim(self) -> int:
@@ -557,6 +555,7 @@ def run_gates(num_wires: int, gates: tuple[Gate, ...]) -> StateVector:
 
 def build_state(description: StateDescription) -> DensityMatrix:
     """Exact density matrix of a description (probability-weighted components)."""
+    _check_dense(description.num_wires)
     d = 2**description.num_wires
     out = np.zeros((d, d), dtype=np.complex128)
     for p, gates in description.components():

@@ -939,3 +939,87 @@ def test_estimate_advantage_memory_does_not_grow_with_trials():
         for trials in (2_000, 20_000)
     )
     assert large <= small + 64 * 1024, (small, large)
+
+
+def _hadamard_bit(q):
+    return with_learning_queries(attacks.hadamard_bit_distinguisher(), q)
+
+
+def _forced_qlp(q):
+    return with_learning_queries(qlp_distinguisher(force=True), q)
+
+
+def _bz(q):
+    return with_learning_queries(bz_adversary(), q)
+
+
+# (game, scheme, padded strategy, seed) -> what a trial played from
+# default_rng(seed) returns: (b, guess, win, randomness_used, query_count), and
+# the Generator's final (PCG64 state, has_uint32, uinteger). The values were
+# captured when every padded query still encrypted plaintext 0.
+_PADDED_REPLAYS = [
+    ("qind", "prp", lambda: _hadamard_bit(1), 101,
+     (1, 1, True, (15, 5), 1),
+     (286121132537258305179882769142764472160, 0, 1543701583)),
+    ("gqind", "prp", lambda: _forced_qlp(1), 201,
+     (0, 1, False, (15, 8), 1),
+     (76126022643621960849164495851211930501, 0, 2304822593)),
+    ("fqind", "prf", lambda: _bz(1), 301,
+     (0, 0, True, (1, 0), 1),
+     (8135404762127034394013458276856936637, 0, 860221342)),
+    ("qind", "prp", lambda: _hadamard_bit(2), 102,
+     (1, 0, False, (2, 8, 3), 2),
+     (148845249410965798627108590551548172035, 1, 3538352015)),
+    ("gqind", "prp", lambda: _forced_qlp(2), 202,
+     (0, 0, True, (5, 6, 4), 2),
+     (6813283444307004348908960425351197385, 1, 3503641620)),
+    ("fqind", "prf", lambda: _bz(2), 302,
+     (1, 1, True, (3, 3, 0), 2),
+     (224501031473528728745770303826134477947, 1, 4287536136)),
+    ("qind", "prp", lambda: _hadamard_bit(3), 103,
+     (1, 1, True, (5, 1, 3, 2), 3),
+     (133224802599970601656911613168660482310, 0, 781725829)),
+    ("gqind", "prp", lambda: _forced_qlp(3), 203,
+     (1, 1, True, (12, 15, 5, 1), 3),
+     (216836120934614140655975481767667847330, 0, 375572866)),
+    ("fqind", "prf", lambda: _bz(3), 303,
+     (0, 0, True, (0, 3, 1, 3), 3),
+     (310232627656162431624422734155211047325, 0, 3469024640)),
+    # nested padding: three queries around two around the attack
+    ("qind", "prp", lambda: with_learning_queries(_forced_qlp(2), 3), 400,
+     (0, 1, False, (3, 5, 9, 5, 15, 6), 5),
+     (19211712420618811329582026096113830217, 0, 1639146000)),
+    # padding around a strategy with a learning query of its own
+    ("ind", "prf", lambda: with_learning_queries(ScriptedInd(query=2), 2), 500,
+     (0, 0, True, (2, 1, 3, 2), 3),
+     (67850145252619719099897998528927759254, 0, 2771788064)),
+]
+
+
+@pytest.mark.parametrize(
+    "game, family, strategy, seed, outcome, final",
+    _PADDED_REPLAYS,
+    ids=[f"{case[0]}-seed{case[3]}" for case in _PADDED_REPLAYS],
+)
+def test_padded_queries_replay_their_draws_without_encrypting(
+    game, family, strategy, seed, outcome, final
+):
+    base = prp_scheme(2, 4, ideal_prp_family(6)) if family == "prp" else prf_scheme(2, 2)
+    calls = []
+
+    def enc(*args):
+        calls.append(args)
+        return base.enc(*args)
+
+    scheme = replace(base, enc=enc)
+    padded = strategy()
+    rng = np.random.default_rng(seed)
+    out = GAME_RUNNERS[game](scheme, padded, rng)
+    assert out.game == game
+    assert (out.challenge_bit, out.guess, out.win, out.randomness_used, out.query_count) == outcome
+    state = rng.bit_generator.state
+    assert (state["state"]["state"], state["has_uint32"], state["uinteger"]) == final
+    # one Enc table read for the challenge, plus one for each query the
+    # strategy makes itself; none for a padded query
+    own = out.query_count - padded.padded_queries
+    assert len(calls) == 1 + own, calls

@@ -1,5 +1,6 @@
 """Encryption oracle lifts: permutation tables, wiring, interconversion."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -506,3 +507,32 @@ def test_type2_unitary_refuses_a_completion_that_disagrees_with_enc():
     scheme = replace(prf_scheme(1, 1), type2_completion=lambda key, r, z: (np.asarray(z) + 1) % 4)
     with pytest.raises(ValueError, match="completion disagrees with Enc on y=0 inputs"):
         type2_unitary(scheme, 0, 0)
+
+
+def _refused_peak(build) -> int:
+    """Peak bytes traced while ``build`` raises ValueError for the wire cap."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap of 14"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lift_builders_refuse_a_width_past_the_cap_before_they_allocate():
+    # the first width past 14 wires: built, each table would hold 2^15 or 2^16
+    # entries, and type2_from_type1 would index 2^(2 ell) of them
+    past = prf_scheme(4, 7)  # m + ell = 15
+    assert past.message_bits + past.ciphertext_bits == 15
+    wide = prf_scheme(7, 8)  # ell = 15
+    small = prf_scheme(4, 4)  # 2 ell = 16
+    u1, dec = type1_unitary(small, 1, 2), type1_decryption_unitary(small, 1)
+    builds = {
+        "type1_unitary": lambda: type1_unitary(past, 1, 2),
+        "type1_decryption_unitary": lambda: type1_decryption_unitary(past, 1),
+        "type2_unitary": lambda: type2_unitary(wide, 1, 2),
+        "type2_from_type1": lambda: type2_from_type1(u1, dec),
+    }
+    peaks = {name: _refused_peak(build) for name, build in builds.items()}
+    assert all(peak < 64 * 1024 for peak in peaks.values()), peaks

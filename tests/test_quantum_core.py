@@ -511,3 +511,29 @@ def test_density_matrix_psd_check_sits_at_the_tolerance(d):
         DensityMatrix(n, refused)
     reported = float(str(err.value).rsplit(" ", 1)[1])
     assert reported == pytest.approx(-2 * DENSITY_ATOL, rel=1e-3)
+
+
+def test_a_wide_density_matrix_with_a_negative_eigenvalue_is_refused():
+    # 10 wires: the PSD check once stopped at 9, so this was accepted
+    d = 2**10
+    diagonal = np.full(d, 1.5 / (d - 1))
+    diagonal[0] = -0.5
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        DensityMatrix(10, np.diag(diagonal))
+
+
+def test_density_matrices_refuse_the_dense_cap_before_they_allocate():
+    # built, the 11-wire matrix would hold 64 MB
+    state = zero_state(11)
+    description = StateDescription(11)
+    for build in (state.to_density, lambda: build_state(description)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped at 10"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+    with pytest.raises(ValueError, match="capped at 10"):
+        DensityMatrix(11, np.eye(1))

@@ -14,11 +14,11 @@ attack declares only its data:
   register 1 for fqind, the ciphertext register for qind and gqind);
 * the scheme check it makes before a trial, which also fixes those positions.
 
-HadamardTest plays and scores them all from p0: the games' one template
-cache, ``games._template``, builds every template from the qind pair, one
-trial class hands them out for the games the attack declares, and one exact
-evaluator replays the game's own challenge step for both challenge bits,
-with no sampling anywhere.
+HadamardTest plays and scores them all from p0: ``games._template`` builds
+every template from the qind pair, and one trial class hands them out. A
+sampled trial gets p0 from the challenger's weigh step, with no response
+state; the exact evaluator replays the game's dense challenge step for both
+challenge bits.
 
 Four attacks, each with a closed-form expected win rate where one is known:
 
@@ -84,17 +84,20 @@ def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
 
 
 class _HadamardTrial(_FixedTrial):
-    """One trial of a HadamardTest; the challenger asks only for its games' templates."""
+    """One trial of a HadamardTest; the challenger asks only for its games'
+    templates, and hands ``receive_weight`` its ``tested`` positions' p0."""
 
     def __init__(self, attack: HadamardTest, scheme: ClassicalScheme, rng) -> None:
         super().__init__(attack, scheme, rng)
-        self._tested = attack.tested_wires(scheme)
+        self.tested = tuple(attack.tested_wires(scheme))
         self._guess: int | None = None
 
-    def receive_challenge(self, response) -> None:
+    def receive_weight(self, p0: float, total: float) -> None:
         # measuring the tested wires draws 0 iff one uniform is below p0 / total
-        p0, total = _zero_weight(response, self._tested)
         self._guess = int(self._rng.random() >= p0 / total)
+
+    def receive_challenge(self, response) -> None:
+        self.receive_weight(*_zero_weight(response, self.tested))
 
     def final_guess(self) -> int:
         assert self._guess is not None

@@ -41,7 +41,9 @@ from .quantum_core import (
     _DENSE_CAP,
     WIRE_CAP,
     DensityMatrix,
+    _check_dense,
     _check_index,
+    _check_wire_count,
     maximally_entangled,
     random_pure_bipartite,
     trace_norm,
@@ -82,6 +84,7 @@ class QuantumChannel:
     @cached_property
     def _closed_form_images(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact and ideal channels: the images of |s><s| and of |s><t|, s != t."""
+        _check_dense(self.output_wires)
         n, f = self.out_dim, len(self.free)
         diagonal = np.zeros((n, n), dtype=np.complex128)
         diagonal[self.free, self.free] = 1.0 / f
@@ -95,6 +98,7 @@ class QuantumChannel:
     @cached_property
     def pair_table(self) -> np.ndarray:
         """(in_dim^2, out_dim^2) complex: row s * in_dim + t is the image of |s><t|."""
+        _check_dense(self.output_wires)
         d, n = self.in_dim, self.out_dim
         if self.injections is not None:
             # one count over every (member, s, t): member k sends |s><t| to
@@ -147,6 +151,7 @@ def _channel_image(channel: QuantumChannel, rho: DensityMatrix, ref_wires: int) 
             f"state has {rho.num_wires} wires, expected "
             f"{ref_wires} + {channel.input_wires}"
         )
+    _check_dense(ref_wires + channel.output_wires)
     r = 2**ref_wires
     d, n = channel.in_dim, channel.out_dim
     # row (a, b) holds the reference block's entries rho[a s, b t] by pair (s, t)
@@ -158,6 +163,7 @@ def _channel_image(channel: QuantumChannel, rho: DensityMatrix, ref_wires: int) 
 def _free_set(message_bits: int, tau: int, taken) -> np.ndarray:
     if message_bits < 1 or tau < 0:
         raise ValueError("need message_bits >= 1 and tau >= 0")
+    _check_wire_count(message_bits + tau)
     n = 2 ** (message_bits + tau)
     taken_set = {_check_index(t, "taken ciphertext", n) for t in taken}
     return np.array(sorted(set(range(n)) - taken_set), dtype=np.int64)

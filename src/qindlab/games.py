@@ -23,11 +23,14 @@ challenge bit or any b-dependent data beyond the prescribed response
 registers; winning always means guess == challenge bit.
 
 All four share one challenger skeleton; only the learning oracle, the
-template checks and the challenge step differ. Every trial consumes
-randomness only from its own Generator, in one order: key, adversary start,
-the padded queries' r values, ``learn``'s queries, b, r, then the challenge
-step. estimate_advantage derives trial i's seed as the i-th child of the
-caller's seed, so aggregates are reproducible.
+template checks and the challenge step differ. A trial declaring ``tested``
+positions (a Hadamard test's) gets its p0 from Enc's table: the game's weigh
+step makes the challenge step's draws and Enc check, and builds no response
+state. Every trial consumes randomness only from its own Generator, in one
+order: key, adversary start, the padded queries' r values, ``learn``'s
+queries, b, r, then the challenge or weigh step. estimate_advantage derives
+trial i's seed as the i-th child of the caller's seed, so aggregates are
+reproducible.
 
 Inputs are checked before any draw that uses them, and refused with
 GameSetupError: the strategy's games and a forced key, b and r before the
@@ -56,7 +59,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .oracles import _check_randomness, _encrypt_fresh, _fresh_register, _xor_encrypt
+from .oracles import _check_randomness, _enc_table, _encrypt_fresh, _fresh_register, _xor_encrypt
 from .quantum_core import (
     StateDescription,
     StateVector,
@@ -311,6 +314,60 @@ GAME_STEPS = {
 }
 
 
+# -- weigh steps: (scheme, key, template, b, r, rng, tested) -> (p0, total) -------
+
+
+@functools.lru_cache(maxsize=16)
+def _untested_index(n: int, offset: int, width: int, tested: tuple[int, ...]) -> np.ndarray:
+    """Each n-wire basis index as an index of its untested wires, the tested
+    wires being positions of the register [offset, offset + width)."""
+    if not tested:
+        raise ValueError("a Hadamard test needs at least one tested wire")
+    _check_wires(width, tested)
+    shape = [1 if w - offset in tested else 2 for w in range(n)]
+    index = np.broadcast_to(np.arange(2 ** shape.count(2)).reshape(shape), (2,) * n).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _p0(amplitudes: np.ndarray, at: np.ndarray, n: int, register, tested) -> float:
+    """p0 of the tested positions of the register (offset, width), for the
+    n-wire response holding amplitudes[i] at index at[i]. Weigh steps read
+    only ``_template``'s layout; their total is the read state's squared norm."""
+    group = _untested_index(n, *register, tested)[at]
+    re, im = np.bincount(group, amplitudes.real), np.bincount(group, amplitudes.imag)
+    return (re @ re + im @ im) / 2 ** len(tested)
+
+
+def _weigh_fqind(scheme, key, ch: FqindChallenge, b, r, rng, tested):
+    m, ell, total = scheme.message_bits, scheme.ciphertext_bits, ch.state._squared_norm
+    plain = ch.state.amplitudes.reshape(-1, 2**ell)[:, 0]
+    wires = (*ch.message0_wires, *ch.message1_wires, *ch.response_wires)
+    if wires != tuple(range(ch.state.num_wires)) or abs(np.vdot(plain, plain).real - total) > 1e-12:
+        raise GameSetupError("fqind weigh steps read registers in order and a |0> response")
+    enc, x = _enc_table(scheme, key, r), np.arange(2 ** (2 * m))
+    at = (x << ell) | enc[x % 2**m if b else x >> m]
+    return _p0(plain, at, 2 * m + ell, (m, m), tested), total
+
+
+def _weigh_qind(scheme, key, template, b, r, rng, tested):
+    plain = sample_description(template[b], rng)
+    enc, ell = _enc_table(scheme, key, r, injective=True), scheme.ciphertext_bits
+    return _p0(plain.amplitudes, enc, ell, (0, ell), tested), plain._squared_norm
+
+
+def _weigh_gqind(scheme, key, ch: GqindChallenge, b, r, rng, tested):
+    if (*ch.message0_wires, *ch.message1_wires) != tuple(range(ch.state.num_wires)):
+        raise GameSetupError("gqind weigh steps read two registers filling every wire in order")
+    _, state = measure_and_remove(ch.state, ch.message0_wires if b else ch.message1_wires, rng)
+    enc, ell = _enc_table(scheme, key, r, injective=True), scheme.ciphertext_bits
+    return _p0(state.amplitudes, enc, ell, (0, ell), tested), state._squared_norm
+
+
+# game -> the weigh step a trial with ``tested`` positions takes; none for ind
+WEIGH_STEPS = {"ind": None, "fqind": _weigh_fqind, "qind": _weigh_qind, "gqind": _weigh_gqind}
+
+
 def _play(
     game: str,
     scheme: ClassicalScheme,
@@ -324,7 +381,8 @@ def _play(
 
     Draws from rng in a fixed order: key, adversary start, the padded
     queries' r values, ``learn``'s queries, challenge bit b, challenge
-    randomness r, then the challenge step.
+    randomness r, then the challenge step, or the game's weigh step for a
+    trial declaring ``tested`` positions.
     """
     if game not in strategy.games:
         raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
@@ -344,7 +402,10 @@ def _play(
     check(scheme, template)
     b = int(rng.integers(2)) if challenge_bit is None else challenge_bit
     r = _fresh_randomness(scheme, rng) if challenge_randomness is None else challenge_randomness
-    adv.receive_challenge(challenge(scheme, key, template, b, r, rng))
+    if getattr(adv, "tested", None) is None or WEIGH_STEPS[game] is None:
+        adv.receive_challenge(challenge(scheme, key, template, b, r, rng))
+    else:
+        adv.receive_weight(*WEIGH_STEPS[game](scheme, key, template, b, r, rng, adv.tested))
     g = _refused(_check_index, adv.final_guess(), "guess", 2)
     return GameOutcome(
         game, b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -426,3 +427,37 @@ def test_exact_witness_equals_the_dense_distance(m, tau):
         assert abs(report.max_difference_trace_norm - 2 * max(dense)) <= 1e-12
         names = ["maximally-entangled"] + [f"haar-{i}" for i in range(1, samples)]
         assert report.worst_input == names[int(np.argmax(dense))]
+
+
+def _refusal_peak(build) -> int:
+    """The tracemalloc peak of a call that must raise ValueError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_channels_refuse_a_width_past_the_cap_before_they_allocate():
+    # first widths past each cap: a free set of m + tau = 15 wires, and
+    # dense images and pair tables of 11 output wires
+    exact, ideal = avg_permutation_channel(1, 10), constant_mixed_channel(1, 10)
+    sampled = avg_permutation_channel(1, 10, n_perm=2, rng=np.random.default_rng(0))
+    ten = constant_mixed_channel(1, 9)
+    one, two = zero_state(1).to_density(), zero_state(2).to_density()
+    builds = {
+        "exact free set": lambda: avg_permutation_channel(2, 13),
+        "ideal free set": lambda: constant_mixed_channel(1, 14),
+        "closed-form image": lambda: exact.pair_action(0, 1),
+        "sampled pair table": lambda: sampled.pair_table,
+        "sampled lookup": lambda: sampled.pair_action(0, 1),
+        "apply": lambda: ideal.apply(one),
+        "bipartite output": lambda: apply_channel_bipartite(ten, two, ref_wires=1),
+        "bare image": lambda: _channel_image(ten, two, 1),
+    }
+    for name, build in builds.items():
+        assert _refusal_peak(build) < 64 * 1024, name
+    # 10 output wires stay allowed: test_exact_channel_builds_at_any_size
+    # reads the m = 2, tau = 8 exact pair_action

@@ -81,12 +81,10 @@ from .quantum_core import (
     apply_basis_permutation,
     apply_unitary,
     build_state,
-    embed_unitary,
     hadamard_all,
     maximally_entangled,
     measure_and_remove,
     measure_computational,
-    partial_trace,
     random_pure_bipartite,
     run_gates,
     sample_description,

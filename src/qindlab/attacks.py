@@ -16,9 +16,9 @@ attack declares only its data:
 
 HadamardTest plays and scores them all from p0: ``games._template`` builds
 every template from the qind pair, and one trial class hands them out. A
-sampled trial gets p0 from the challenger's weigh step, with no response
-state; the exact evaluator replays the game's dense challenge step for both
-challenge bits.
+sampled trial and the exact evaluator both read p0 from the game's weigh
+step, which weighs Enc's table and builds no response state; the exact
+evaluator reads it for both challenge bits.
 
 Four attacks, each with a closed-form expected win rate where one is known:
 
@@ -50,37 +50,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .games import (
     GAME_STEPS,
+    WEIGH_STEPS,
     AdversaryStrategy,
-    FqindChallenge,
     GameSetupError,
-    GqindResponse,
     _FixedTrial,
     _template,
 )
 from .oracles import _check_randomness
-from .quantum_core import CNOT, H, StateDescription, X, _check_index, _register_view
+from .quantum_core import CNOT, H, StateDescription, X, _check_index
 from .schemes import ClassicalScheme, is_quasi_length_preserving
-
-
-def _zero_weight(response, tested: tuple[int, ...]) -> tuple[float, float]:
-    """(p0, total): the weight of every tested position of the response
-    register reading 0 after Hadamards, as a register sum, and the
-    response's squared norm, as its norm check computed it."""
-    if not tested:
-        raise ValueError("a Hadamard test needs at least one tested wire")
-    if isinstance(response, FqindChallenge):
-        state, register = response.state, response.message1_wires
-    elif isinstance(response, GqindResponse):
-        state, register = response.state, response.ciphertext_wires
-    else:
-        state, register = response, range(response.num_wires)
-    wires = tuple(register[i] for i in tested)
-    rest = _register_view(state, wires)[0].sum(axis=1)
-    return np.vdot(rest, rest).real / 2 ** len(wires), state._squared_norm
 
 
 class _HadamardTrial(_FixedTrial):
@@ -96,9 +76,6 @@ class _HadamardTrial(_FixedTrial):
         # measuring the tested wires draws 0 iff one uniform is below p0 / total
         self._guess = int(self._rng.random() >= p0 / total)
 
-    def receive_challenge(self, response) -> None:
-        self.receive_weight(*_zero_weight(response, self.tested))
-
     def final_guess(self) -> int:
         assert self._guess is not None
         return self._guess
@@ -112,7 +89,7 @@ class HadamardTest(AdversaryStrategy):
     pair; every other template is built from that pair.
     """
 
-    # The game whose challenge step scores the attack exactly. The gqind
+    # The game whose weigh step scores the attack exactly. The gqind
     # registers form a product state, so measuring out the unchosen one
     # leaves the chosen one as the qind challenger rebuilds it: both games
     # give the same value.
@@ -144,17 +121,18 @@ class HadamardTest(AdversaryStrategy):
     def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
         """Win probability at fixed (key, r), both challenge bits enumerated.
 
-        The template and r are checked as a trial checks them; the challenge
-        step gets no Generator: pure templates draw nothing.
+        The template and r are checked as a trial checks them; the weigh step
+        reads p0 from Enc's table, as a sampled trial's does, and gets no
+        Generator: pure templates draw nothing.
         """
         tested = self.tested_wires(scheme)
         template = self.template(scheme, self.exact_game)
-        _, check, challenge = GAME_STEPS[self.exact_game]
+        _, check, _ = GAME_STEPS[self.exact_game]
         check(scheme, template)
         r = _check_randomness(scheme, r)
-        responses = (challenge(scheme, key, template, b, r, None) for b in (0, 1))
+        weigh = WEIGH_STEPS[self.exact_game]
         # per challenge bit, the weight of every tested wire measuring zero
-        p0, p1 = (float(_zero_weight(x, tested)[0]) for x in responses)
+        p0, p1 = (float(weigh(scheme, key, template, b, r, None, tested)[0]) for b in (0, 1))
         return 0.5 * (p0 + 1.0 - p1)
 
 

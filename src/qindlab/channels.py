@@ -282,9 +282,10 @@ def _certify(
         raise ValueError("samples must be >= 1")
     if n_perm is not None:
         _check_index(n_perm, "n_perm")
-    # exact runs above one message bit build no dense matrix: only the
-    # 2m-wire probe and the (m + tau)-wire free set must fit
-    if n_perm is not None or message_bits == 1:
+    # exact runs build no dense matrix but the m = 1 closed-form images,
+    # which check their own 1 + tau wires: only the 2m-wire probe and the
+    # (m + tau)-wire free set must fit
+    if n_perm is not None:
         wires, cap, what = 2 * message_bits + tau, _DENSE_CAP, "dense matrices"
     else:
         wires, cap, what = max(message_bits + tau, 2 * message_bits), WIRE_CAP, "states"

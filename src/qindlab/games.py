@@ -231,8 +231,9 @@ class Type2LearningOracle(_LearningOracle):
 # A check validates the adversary's template, the response's wire count
 # included. A challenge step builds the response from (scheme, key, template,
 # b, r, rng), checking nothing again, may draw from rng only after b and r are
-# fixed, and returns it: a trial hands it to the adversary's
-# ``receive_challenge``, the exact evaluator scores it.
+# fixed, and returns it to the adversary's ``receive_challenge``. A Hadamard
+# test never gets it: its trials and its exact evaluator read the game's
+# weigh step below.
 
 
 def _check_ind(scheme: ClassicalScheme, template) -> None:

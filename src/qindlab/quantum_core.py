@@ -406,36 +406,7 @@ def apply_basis_permutation(
     return _owned_state(state.num_wires, _flat_amplitudes(out, plan))
 
 
-def embed_unitary(
-    unitary: UnitaryOperator, num_wires: int, wires: tuple[int, ...]
-) -> UnitaryOperator:
-    """Dense embedding of ``unitary`` on the listed wires of a larger register."""
-    _check_dense(num_wires)
-    wires = tuple(wires)
-    _check_wires(num_wires, wires, unitary.num_wires)
-    rest = num_wires - unitary.num_wires
-    full = np.kron(unitary.matrix, np.eye(2**rest)) if rest else unitary.matrix
-    _, inv = _axis_order(num_wires, wires)
-    t = full.reshape((2,) * (2 * num_wires)).transpose((*inv, *(num_wires + i for i in inv)))
-    return UnitaryOperator(num_wires, t.reshape(2**num_wires, 2**num_wires))
-
-
-# -- reduction and measurement ----------------------------------------------
-
-
-def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
-    """Reduced state on the kept wires (listed order becomes the new order)."""
-    keep = tuple(keep)
-    n = rho.num_wires
-    _check_wires(n, keep)
-    if not keep:
-        raise ValueError("must keep at least one wire")
-    k = len(keep)
-    order, _ = _axis_order(n, keep)
-    t = rho.matrix.reshape((2,) * (2 * n))
-    t = t.transpose((*order, *(n + w for w in order)))
-    t = t.reshape(2**k, 2 ** (n - k), 2**k, 2 ** (n - k))
-    return DensityMatrix(k, np.einsum("ajbj->ab", t))
+# -- measurement ------------------------------------------------------------
 
 
 def _measure_block(state: StateVector, wires: tuple, rng: np.random.Generator, remove=False):

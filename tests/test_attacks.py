@@ -11,7 +11,6 @@ from qindlab.attacks import (
     ATTACKS,
     EntangledBlockProbe,
     HadamardBitProbe,
-    _zero_weight,
     bz_adversary,
     bz_expected_win_rate,
     hadamard_bit_distinguisher,
@@ -48,6 +47,8 @@ from qindlab.schemes import (
     prf_scheme,
     prp_scheme,
 )
+
+from dense_reference import zero_weight
 
 
 def keys_for(scheme, count=3, seed=55):
@@ -361,14 +362,14 @@ def test_zero_weight_matches_the_hadamard_measurement(case):
     response, tested, wires = case
     state = response if isinstance(response, StateVector) else response.state
     dense = apply_unitary(hadamard_all(len(wires)), state, wires)
-    p0, total = _zero_weight(response, tested)
+    p0, total = zero_weight(response, tested)
     assert abs(p0 - np.sum(np.abs(_register_view(dense, wires)[0][:, 0]) ** 2)) <= 1e-12
     assert abs(total - np.vdot(state.amplitudes, state.amplitudes).real) <= 1e-12
 
 
 def test_zero_weight_refuses_an_empty_register():
     with pytest.raises(ValueError):
-        _zero_weight(run_gates(2, ()), ())
+        zero_weight(run_gates(2, ()), ())
 
 
 def test_trial_guess_is_the_measured_outcome():
@@ -392,7 +393,7 @@ def test_trial_guess_is_the_measured_outcome():
             response = challenge(scheme, key, template, b, r, step)
             drawn, measured = np.random.default_rng(seed), np.random.default_rng(seed)
             trial = attack.start(scheme, drawn)
-            trial.receive_challenge(response)
+            trial.receive_weight(*zero_weight(response, trial.tested))
             if isinstance(response, FqindChallenge):
                 state, register = response.state, response.message1_wires
             elif isinstance(response, GqindResponse):

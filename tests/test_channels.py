@@ -26,12 +26,13 @@ from qindlab.quantum_core import (
     apply_unitary,
     hadamard_all,
     maximally_entangled,
-    partial_trace,
     random_pure_bipartite,
     state_from_bits,
     trace_norm,
     zero_state,
 )
+
+from dense_reference import partial_trace
 
 
 def test_lemma_bound_values():

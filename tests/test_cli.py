@@ -498,7 +498,7 @@ def test_exact_lemma_runs_past_the_dense_cap_without_building(capsys, monkeypatc
     "m, tau, message",
     [
         ("2", "13", "certification needs 15 wires; states are capped at 14"),
-        ("1", "9", "certification needs 11 wires; dense matrices are capped at 10"),
+        ("1", "10", "dense matrices are capped at 10 wires"),
     ],
 )
 def test_exact_lemma_above_its_cap_exits_2(capsys, m, tau, message):
@@ -506,6 +506,19 @@ def test_exact_lemma_above_its_cap_exits_2(capsys, m, tau, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_exact_lemma_at_one_message_bit_runs_up_to_the_dense_cap(capsys):
+    # only the (1 + tau)-wire coherence block is dense: 10 wires at tau = 9
+    argv = ["lemma", "--m", "1", "--tau", "9", "--mode", "exact", "--no-timing"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    m, tau = 1, 9
+    expected = 2 * (2**m - 1) / (2**m * 2 ** (m + tau))
+    assert expected == 2.0**-10
+    assert results["exact_trace_distance"] == pytest.approx(expected, abs=1e-15)
+    assert results["satisfied"]
 
 
 def _declared_console_script():

@@ -23,11 +23,9 @@ from qindlab.quantum_core import (
     append_wires,
     apply_basis_permutation,
     apply_unitary,
-    embed_unitary,
     hadamard_all,
     measure_and_remove,
     measure_computational,
-    partial_trace,
     zero_state,
 )
 from qindlab.schemes import (
@@ -39,6 +37,8 @@ from qindlab.schemes import (
     prf_scheme,
     prp_scheme,
 )
+
+from dense_reference import embed_unitary, partial_trace
 
 RNG = np.random.default_rng(99)
 

@@ -12,7 +12,6 @@ from qindlab.attacks import (
     HadamardBitProbe,
     HadamardTest,
     SuperpositionMaskAttack,
-    _zero_weight,
 )
 from qindlab.games import (
     GAME_RUNNERS,
@@ -35,6 +34,8 @@ from qindlab.quantum_core import (
     run_gates,
 )
 from qindlab.schemes import block_scheme, ideal_prp_family, prf_scheme, prp_scheme
+
+from dense_reference import zero_weight
 
 
 class MixedProbe(HadamardTest):
@@ -106,7 +107,7 @@ def test_weigh_steps_match_the_dense_challenge(scheme):
                     weighed, dense = np.random.default_rng(seed), np.random.default_rng(seed)
                     p0, total = WEIGH_STEPS[game](scheme, key, template, b, r, weighed, tested)
                     response = challenge(scheme, key, template, b, r, dense)
-                    want_p0, want_total = _zero_weight(response, tested)
+                    want_p0, want_total = zero_weight(response, tested)
                     assert abs(p0 - want_p0) <= 1e-12, (attack.name, game, key, r, b)
                     assert abs(total - want_total) <= 1e-12, (attack.name, game, key, r, b)
                     assert weighed.bit_generator.state == dense.bit_generator.state
@@ -147,14 +148,48 @@ def test_weigh_steps_match_the_dense_challenge_on_complex_templates():
                         weighed, dense = np.random.default_rng(b), np.random.default_rng(b)
                         got = WEIGH_STEPS[game](scheme, key, template, b, 1, weighed, positions)
                         response = GAME_STEPS[game][2](scheme, key, template, b, 1, dense)
-                        want = _zero_weight(response, positions)
+                        want = zero_weight(response, positions)
                         assert np.allclose(got, want, rtol=0.0, atol=1e-12), (game, positions)
                         assert weighed.bit_generator.state == dense.bit_generator.state
 
 
+_EXACT_CASES = (
+    *((SuperpositionMaskAttack(), prf_scheme(m, 2)) for m in (1, 2, 3)),
+    *(
+        (attack, scheme)
+        for attack in (CoreInterferenceAttack(force=True), HadamardBitProbe())
+        for scheme in (prf_scheme(2, 2), prp_scheme(2, 2, ideal_prp_family(4)))
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "attack, scheme", _EXACT_CASES, ids=[f"{a.name}-{s.name}" for a, s in _EXACT_CASES]
+)
+def test_the_exact_evaluator_reads_the_weigh_step(monkeypatch, attack, scheme):
+    game, tested = attack.exact_game, attack.tested_wires(scheme)
+    challenge = GAME_STEPS[game][2]
+    template = attack.template(scheme, game)
+
+    def replayed(*args):
+        raise AssertionError("the exact evaluator replayed a challenge step")
+
+    for name, (oracle, check, _) in list(GAME_STEPS.items()):
+        monkeypatch.setitem(GAME_STEPS, name, (oracle, check, replayed))
+    for key in _distinct_keys(scheme, 2, seed=29):
+        for r in (0, 1):
+            p0, p1 = (
+                zero_weight(challenge(scheme, key, template, b, r, None), tested)[0]
+                for b in (0, 1)
+            )
+            want = 0.5 * (p0 + 1.0 - p1)
+            got = attack.exact_win_probability(scheme, key, r)
+            assert abs(got - want) <= 1e-12, (attack.name, scheme.name, key, r)
+
+
 def _dense_replay(game, scheme, strategy, rng, key=None, b=None, r=None) -> GameOutcome:
     """One trial in the runner's draw order, scored through the dense route:
-    the challenge step's response handed to ``receive_challenge``."""
+    the challenge step's response weighed by ``zero_weight``."""
     oracle_type, check, challenge = GAME_STEPS[game]
     key = scheme.gen(rng) if key is None else key
     adv = strategy.start(scheme, rng)
@@ -166,7 +201,7 @@ def _dense_replay(game, scheme, strategy, rng, key=None, b=None, r=None) -> Game
     check(scheme, template)
     b = int(rng.integers(2)) if b is None else b
     r = int(rng.integers(2**scheme.randomness_bits)) if r is None else r
-    adv.receive_challenge(challenge(scheme, key, template, b, r, rng))
+    adv.receive_weight(*zero_weight(challenge(scheme, key, template, b, r, rng), adv.tested))
     g = adv.final_guess()
     return GameOutcome(game, b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count)
 

@@ -44,6 +44,7 @@ from .quantum_core import (
     _check_dense,
     _check_index,
     _check_wire_count,
+    _freeze,
     maximally_entangled,
     random_pure_bipartite,
     trace_norm,
@@ -92,8 +93,7 @@ class QuantumChannel:
         if self.kind != "constant":
             off[np.ix_(self.free, self.free)] = 1.0 / (f * (f - 1))
             off[self.free, self.free] = 0.0
-        diagonal.flags.writeable = off.flags.writeable = False
-        return diagonal, off
+        return _freeze(diagonal), _freeze(off)
 
     @cached_property
     def pair_table(self) -> np.ndarray:
@@ -114,8 +114,7 @@ class QuantumChannel:
             table[:] = off.ravel()
             table[:: d + 1] = diagonal.ravel()
         # every application and pair_action shares it
-        table.flags.writeable = False
-        return table
+        return _freeze(table)
 
     def pair_action(self, s: int, t: int) -> np.ndarray:
         """The (out_dim, out_dim) image of the input-basis pair |s><t|: a row of

@@ -26,11 +26,12 @@ All four share one challenger skeleton; only the learning oracle, the
 template checks and the challenge step differ. A trial declaring ``tested``
 positions (a Hadamard test's) gets its p0 from Enc's table: the game's weigh
 step makes the challenge step's draws and Enc check, and builds no response
-state. Every trial consumes randomness only from its own Generator, in one
-order: key, adversary start, the padded queries' r values, ``learn``'s
-queries, b, r, then the challenge or weigh step. estimate_advantage derives
-trial i's seed as the i-th child of the caller's seed, so aggregates are
-reproducible.
+state; fqind's reads its template through a plan (``_fqind_plan``) built and
+checked once per template. Every trial consumes randomness only from its own
+Generator, in one order: key, adversary start, the padded queries' r values,
+``learn``'s queries, b, r, then the challenge or weigh step.
+estimate_advantage derives trial i's seed as the i-th child of the caller's
+seed, so aggregates are reproducible.
 
 Inputs are checked before any draw that uses them, and refused with
 GameSetupError: the strategy's games and a forced key, b and r before the
@@ -67,6 +68,7 @@ from .quantum_core import (
     _check_index,
     _check_wire_count,
     _check_wires,
+    _freeze,
     measure_and_remove,
     run_gates,
     sample_description,
@@ -327,42 +329,57 @@ def _untested_index(n: int, offset: int, width: int, tested: tuple[int, ...]) ->
     _check_wires(width, tested)
     shape = [1 if w - offset in tested else 2 for w in range(n)]
     index = np.broadcast_to(np.arange(2 ** shape.count(2)).reshape(shape), (2,) * n).ravel()
-    index.setflags(write=False)
-    return index
+    return _freeze(index)
 
 
-def _p0(amplitudes: np.ndarray, at: np.ndarray, n: int, register, tested) -> float:
-    """p0 of the tested positions of the register (offset, width), for the
-    n-wire response holding amplitudes[i] at index at[i]. Weigh steps read
-    only ``_template``'s layout; their total is the read state's squared norm."""
-    group = _untested_index(n, *register, tested)[at]
+def _p0(amplitudes: np.ndarray, group: np.ndarray, tested) -> float:
+    """p0 of the ``tested`` positions for the response holding amplitudes[i]
+    at an index whose untested wires read group[i]. Weigh steps read only
+    ``_template``'s layout; their total is the read state's squared norm."""
     re, im = np.bincount(group, amplitudes.real), np.bincount(group, amplitudes.imag)
     return (re @ re + im @ im) / 2 ** len(tested)
 
 
-def _weigh_fqind(scheme, key, ch: FqindChallenge, b, r, rng, tested):
-    m, ell, total = scheme.message_bits, scheme.ciphertext_bits, ch.state._squared_norm
-    plain = ch.state.amplitudes.reshape(-1, 2**ell)[:, 0]
-    wires = (*ch.message0_wires, *ch.message1_wires, *ch.response_wires)
-    if wires != tuple(range(ch.state.num_wires)) or abs(np.vdot(plain, plain).real - total) > 1e-12:
+@functools.lru_cache(maxsize=16)
+def _fqind_plan(state: StateVector, wires: tuple[int, ...], m: int, ell: int, tested):
+    """What an fqind weigh step reads of its template, built once per
+    template: the |0>-response amplitudes of plaintexts x, the untested index
+    of (x << ell), and register 0's and register 1's selectors from x. Any
+    other layout is refused at every trial: no refusal is cached."""
+    plain = np.ascontiguousarray(state.amplitudes.reshape(-1, 2**ell)[:, 0])
+    weight = np.vdot(plain, plain).real
+    if wires != tuple(range(state.num_wires)) or abs(weight - state._squared_norm) > 1e-12:
         raise GameSetupError("fqind weigh steps read registers in order and a |0> response")
-    enc, x = _enc_table(scheme, key, r), np.arange(2 ** (2 * m))
-    at = (x << ell) | enc[x % 2**m if b else x >> m]
-    return _p0(plain, at, 2 * m + ell, (m, m), tested), total
+    x = np.arange(2 ** (2 * m))
+    hi = _untested_index(2 * m + ell, m, m, tested)[x << ell]
+    return _freeze(plain), _freeze(hi), (_freeze(x >> m), _freeze(x % 2**m))
+
+
+def _weigh_fqind(scheme, key, ch: FqindChallenge, b, r, rng, tested):
+    wires = (*ch.message0_wires, *ch.message1_wires, *ch.response_wires)
+    m, ell = scheme.message_bits, scheme.ciphertext_bits
+    plain, hi, select = _fqind_plan(ch.state, wires, m, ell, tested)
+    # the response's untested wires: x's untested bits, then Enc of register b
+    group = hi | _enc_table(scheme, key, r)[select[b]]
+    return _p0(plain, group, tested), ch.state._squared_norm
+
+
+def _weigh_fresh(scheme, key, r, state: StateVector, tested):
+    """(p0, total) of ``state`` encrypted into a fresh ell-wire register."""
+    ell = scheme.ciphertext_bits
+    group = _untested_index(ell, 0, ell, tested)[_enc_table(scheme, key, r, injective=True)]
+    return _p0(state.amplitudes, group, tested), state._squared_norm
 
 
 def _weigh_qind(scheme, key, template, b, r, rng, tested):
-    plain = sample_description(template[b], rng)
-    enc, ell = _enc_table(scheme, key, r, injective=True), scheme.ciphertext_bits
-    return _p0(plain.amplitudes, enc, ell, (0, ell), tested), plain._squared_norm
+    return _weigh_fresh(scheme, key, r, sample_description(template[b], rng), tested)
 
 
 def _weigh_gqind(scheme, key, ch: GqindChallenge, b, r, rng, tested):
     if (*ch.message0_wires, *ch.message1_wires) != tuple(range(ch.state.num_wires)):
         raise GameSetupError("gqind weigh steps read two registers filling every wire in order")
     _, state = measure_and_remove(ch.state, ch.message0_wires if b else ch.message1_wires, rng)
-    enc, ell = _enc_table(scheme, key, r, injective=True), scheme.ciphertext_bits
-    return _p0(state.amplitudes, enc, ell, (0, ell), tested), state._squared_norm
+    return _weigh_fresh(scheme, key, r, state, tested)
 
 
 # game -> the weigh step a trial with ``tested`` positions takes; none for ind

@@ -8,11 +8,14 @@ Two standard lifts, both computational-basis permutations:
   scheme's declared completion fixes phi, with phi(x || 0) = Enc_k(x; r), so
   the adjoint is the decryption oracle.
 
-The games read a scheme only through Enc's 2^m-entry table: type-1 steps via
-``xor_encrypt_register`` and type-2 steps, which meet only |x, 0>, via
-``encrypt_fresh_register``: each checks its wires and r, then runs a core
-the games call after their own checks, from a layout cached per register
-(``_xor_plan``, ``_fresh_layout``). ``EncryptionUnitary.apply`` applies any
+The games read a scheme only through Enc's 2^m-entry table, ``_enc_table``,
+which hands Enc the frozen ``schemes._plaintexts`` and checks every entry Enc
+returns. Learning oracles and challenge steps check their wires and r, then
+call the cores ``_xor_encrypt`` (type-1) and ``_encrypt_fresh`` (type-2,
+which meets only |x, 0>), each run from a layout cached per register
+(``_xor_plan``, ``_fresh_layout``); ``xor_encrypt_register`` and
+``encrypt_fresh_register`` are those cores behind their own checks. Hadamard
+test trials read only ``_enc_table``. ``EncryptionUnitary.apply`` applies any
 lift's table through ``apply_basis_permutation``.
 
 Lifts are stored as basis index tables, so applying one to a larger state
@@ -32,8 +35,9 @@ import numpy as np
 
 from .quantum_core import StateVector, UnitaryOperator, _check_dense, _check_index
 from .quantum_core import _check_permutation, _check_wire_count, _check_wires
-from .quantum_core import _axis_order, _flat_amplitudes, _owned_state, apply_basis_permutation
-from .schemes import ClassicalScheme
+from .quantum_core import _axis_order, _flat_amplitudes, _freeze, _owned_state
+from .quantum_core import apply_basis_permutation
+from .schemes import ClassicalScheme, _plaintexts
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +61,7 @@ class EncryptionUnitary:
         # type2_from_type1 reads type-1 tables as XOR lifts
         if self.kind.startswith("type1") and not _is_xor_lift(perm):
             raise ValueError(f"{self.kind} table is not an XOR lift |x, y> -> |x, y ^ f(x)>")
-        perm.setflags(write=False)
-        object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "permutation", _freeze(perm))
 
     @property
     def dim(self) -> int:
@@ -111,7 +114,7 @@ def _enc_table(scheme: ClassicalScheme, key, r, injective: bool = False) -> np.n
     """Enc_k(x; r) for every plaintext x. Raises ValueError for an entry
     outside ell bits and, if ``injective``, for two equal entries."""
     ell = scheme.ciphertext_bits
-    enc = np.asarray(scheme.enc(key, r, np.arange(2**scheme.message_bits)), dtype=np.int64)
+    enc = np.asarray(scheme.enc(key, r, _plaintexts(scheme.message_bits)), dtype=np.int64)
     values = enc.tolist()  # plain ints: a negative entry must not wrap as an index
     if min(values) < 0 or max(values) >= 2**ell or injective and len(set(values)) < len(values):
         fault = "is not injective into" if injective else "leaves"
@@ -188,9 +191,7 @@ def _xor_plan(n: int, m: int, wires: tuple[int, ...]):
 
 def _xor_base(m: int, ell: int) -> np.ndarray:
     """The frozen (2^m, 2^ell) table (x << ell) | y."""
-    base = np.arange(2 ** (m + ell)).reshape(2**m, 2**ell)
-    base.setflags(write=False)
-    return base
+    return _freeze(np.arange(2 ** (m + ell)).reshape(2**m, 2**ell))
 
 
 @functools.lru_cache(maxsize=64)
@@ -203,9 +204,7 @@ def _fresh_layout(n: int, wires: tuple[int, ...]):
     rest = (i & ~sum(1 << (n - 1 - w) for w in wires[:m])) << (k - m)
     c = np.arange(2**k)
     deposit = sum(((c >> (k - 1 - j)) & 1) << (n + k - m - 1 - w) for j, w in enumerate(wires))
-    for table in (rest, x_of, deposit):
-        table.setflags(write=False)
-    return rest, x_of, deposit
+    return _freeze(rest), _freeze(x_of), _freeze(deposit)
 
 
 def encrypt_fresh_register(

@@ -89,12 +89,21 @@ def _check_wires(num_wires: float, wires: tuple[int, ...], expected: int | None 
         raise ValueError(f"wires must be distinct, got {wires}")
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr`` over a read-only base: numpy refuses
+    ``setflags(write=True)`` on it, so an array shared from a cache cannot be
+    made writeable again. The caller gives up writing through ``arr``."""
+    arr.setflags(write=False)
+    if isinstance(arr.base, np.ndarray):
+        arr.base.setflags(write=False)
+    return arr.view()
+
+
 def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+    return _freeze(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +152,7 @@ def _owned_state(num_wires: int, amplitudes: np.ndarray) -> StateVector:
     The caller hands the array over and keeps no other reference to it. The
     array is frozen and its norm checked, as the public constructor does.
     """
-    amplitudes.setflags(write=False)
+    amplitudes = _freeze(amplitudes)
     squared = _check_norm(amplitudes)
     state = object.__new__(StateVector)
     object.__setattr__(state, "num_wires", num_wires)
@@ -428,8 +437,7 @@ def _measure_block(state: StateVector, wires: tuple, rng: np.random.Generator, r
         probs /= probs.sum()
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        probs.flags.writeable = cdf.flags.writeable = False
-        state._measured[wires] = probs, cdf, {}
+        state._measured[wires] = _freeze(probs), _freeze(cdf), {}
     probs, cdf, removed = state._measured[wires]
     outcome = int(cdf.searchsorted(rng.random(), side="right"))
     post = removed.get(outcome) if remove else None

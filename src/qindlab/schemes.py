@@ -11,11 +11,13 @@ family's ``forward`` and ``inverse``, a keyed function's call) checks its
 inputs once, with ``_indices``, and then runs an unchecked core. An int is
 read through the package's integer rule; an array must have an integer
 dtype, so a bool mask or a float array is refused, and every entry must lie
-in [0, 2^bits). The key is read through ``_check_index`` against the one
-width its owner declares (``key_bits``, a scheme's ``key_space``, which
-``gen`` draws from), before any key table is built. Ints in, int out. A
-composition calls the cores of what it composes; only the block scheme calls
-its base's public entries, which re-check the key and each block's slices.
+in [0, 2^bits); the frozen ``_plaintexts(bits)``, in range when it was
+built, passes at that width unchecked. The key is read through
+``_check_index`` against the one width its owner declares (``key_bits``, a
+scheme's ``key_space``, which ``gen`` draws from), before any key table is
+built. Ints in, int out. A composition calls the cores of what it composes;
+only the block scheme calls its base's public entries, which re-check the
+key and each block's slices.
 
 Each scheme may declare a type-2 completion: a keyed basis permutation phi on
 ell-bit strings, laid out as [x: m bits | y: ell-m bits], with
@@ -37,7 +39,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .quantum_core import WIRE_CAP, _check_index
+from .quantum_core import WIRE_CAP, _check_index, _freeze
 
 _PRF_INPUT_CAP = 8
 # Tables are pure functions of their arguments, so an evicted table is
@@ -52,14 +54,24 @@ def _indices(value, bits: int, what: str):
     A non-array goes through ``_check_index``. An array must have an integer
     dtype (a bool array is refused, not read as a mask), and every entry,
     negatives included, must lie in range: the OR of all entries has a bit
-    at or above ``bits``, the sign bit included, iff one of them does."""
+    at or above ``bits``, the sign bit included, iff one of them does. The
+    frozen ``_plaintexts(bits)`` is returned as it is."""
     if not isinstance(value, np.ndarray):
         return _check_index(value, what, 2**bits)
+    if value.size == 1 << bits and value is _plaintexts(bits):
+        return value
     if value.dtype.kind not in "iu":
         raise ValueError(f"{what} array of dtype {value.dtype} is not an integer")
     if np.bitwise_or.reduce(value, axis=None) >> bits:
         raise ValueError(f"{what} array out of range [0, {2**bits})")
     return value.astype(np.int64, copy=False)
+
+
+@functools.lru_cache(maxsize=WIRE_CAP + 1)
+def _plaintexts(bits: int) -> np.ndarray:
+    """The frozen arange(2^bits) the oracle layer hands to Enc; ``_indices``
+    passes it without a range check."""
+    return _freeze(np.arange(2**bits, dtype=np.int64))
 
 
 def _checked(core: Callable, keys: int, bits: tuple, names: tuple) -> Callable:
@@ -120,9 +132,7 @@ def is_quasi_length_preserving(scheme: ClassicalScheme) -> bool:
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _prf_table(key: int, input_bits: int, output_bits: int) -> np.ndarray:
     rng = np.random.default_rng(np.array([0x7F52, key, input_bits, output_bits], np.uint32))
-    table = rng.integers(0, 2**output_bits, size=2**input_bits, dtype=np.int64)
-    table.setflags(write=False)
-    return table
+    return _freeze(rng.integers(0, 2**output_bits, size=2**input_bits, dtype=np.int64))
 
 
 def toy_prf(input_bits: int, output_bits: int) -> KeyedFunction:
@@ -169,17 +179,13 @@ class PermutationFamily:
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _ideal_table(seed: int, block_bits: int) -> np.ndarray:
     words = np.array([0x1DEA, seed, block_bits], np.uint32)
-    table = np.random.default_rng(words).permutation(2**block_bits)
-    table.setflags(write=False)
-    return table
+    return _freeze(np.random.default_rng(words).permutation(2**block_bits))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _ideal_inverse(seed: int, block_bits: int) -> np.ndarray:
     """The inverse of ``_ideal_table``, built the first time decryption asks."""
-    table = np.argsort(_ideal_table(seed, block_bits))
-    table.setflags(write=False)
-    return table
+    return _freeze(np.argsort(_ideal_table(seed, block_bits)))
 
 
 def ideal_prp_family(block_bits: int) -> PermutationFamily:

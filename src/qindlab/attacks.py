@@ -15,10 +15,11 @@ attack declares only its data:
 * the scheme check it makes before a trial, which also fixes those positions.
 
 HadamardTest plays and scores them all from p0: ``games._template`` builds
-every template from the qind pair, and one trial class hands them out. A
-sampled trial and the exact evaluator both read p0 from the game's weigh
-step, which weighs Enc's table and builds no response state; the exact
-evaluator reads it for both challenge bits.
+every template from the qind pair, and a trial is the games' ``_FixedTrial``,
+which hands them out with the tested positions. A sampled trial and the exact
+evaluator both read p0 from the game's weigh step, which weighs Enc's table
+and builds no response state. In a sampled trial the challenger draws the
+guess from p0; the exact evaluator reads p0 for both challenge bits.
 
 Four attacks, each with a closed-form expected win rate where one is known:
 
@@ -63,24 +64,6 @@ from .quantum_core import CNOT, H, StateDescription, X, _check_index
 from .schemes import ClassicalScheme, is_quasi_length_preserving
 
 
-class _HadamardTrial(_FixedTrial):
-    """One trial of a HadamardTest; the challenger asks only for its games'
-    templates, and hands ``receive_weight`` its ``tested`` positions' p0."""
-
-    def __init__(self, attack: HadamardTest, scheme: ClassicalScheme, rng) -> None:
-        super().__init__(attack, scheme, rng)
-        self.tested = tuple(attack.tested_wires(scheme))
-        self._guess: int | None = None
-
-    def receive_weight(self, p0: float, total: float) -> None:
-        # measuring the tested wires draws 0 iff one uniform is below p0 / total
-        self._guess = int(self._rng.random() >= p0 / total)
-
-    def final_guess(self) -> int:
-        assert self._guess is not None
-        return self._guess
-
-
 class HadamardTest(AdversaryStrategy):
     """An attack given by its template, its tested wires and its scheme check,
     scored by p0 = ||sum_x psi(x, .)||^2 / 2^k over its k tested wires x.
@@ -116,7 +99,7 @@ class HadamardTest(AdversaryStrategy):
         return _template(self, game, scheme.message_bits, scheme.ciphertext_bits)
 
     def start(self, scheme, rng):
-        return _HadamardTrial(self, scheme, rng)
+        return _FixedTrial(self, scheme, rng)
 
     def exact_win_probability(self, scheme: ClassicalScheme, key, r: int) -> float:
         """Win probability at fixed (key, r), both challenge bits enumerated.

@@ -23,13 +23,16 @@ challenge bit or any b-dependent data beyond the prescribed response
 registers; winning always means guess == challenge bit.
 
 All four share one challenger skeleton; only the learning oracle, the
-template checks and the challenge step differ. A trial declaring ``tested``
-positions (a Hadamard test's) gets its p0 from Enc's table: the game's weigh
-step makes the challenge step's draws and Enc check, and builds no response
-state; fqind's reads its template through a plan (``_fqind_plan``) built and
-checked once per template. Every trial consumes randomness only from its own
-Generator, in one order: key, adversary start, the padded queries' r values,
-``learn``'s queries, b, r, then the challenge or weigh step.
+template checks and the challenge step differ. A Hadamard-test trial is
+data: it declares its templates and its ``tested`` positions, and has no
+other hook. The challenger reads p0 from Enc's table in the game's weigh
+step, which makes the challenge step's draws and Enc check and builds no
+response state; fqind's reads its template through a plan (``_fqind_plan``)
+built and checked once per template. The challenger then draws the guess
+as the measurement would: 0 iff one uniform is below p0 / total. Every trial
+consumes randomness only from its own Generator, in one order: key,
+adversary start, the padded queries' r values, ``learn``'s queries, b, r,
+then the challenge step, or the weigh step and the guess's uniform.
 estimate_advantage derives trial i's seed as the i-th child of the caller's
 seed, so aggregates are reproducible.
 
@@ -321,13 +324,13 @@ GAME_STEPS = {
 
 
 @functools.lru_cache(maxsize=16)
-def _untested_index(n: int, offset: int, width: int, tested: tuple[int, ...]) -> np.ndarray:
+def _untested_index(n: int, width: int, tested: tuple[int, ...]) -> np.ndarray:
     """Each n-wire basis index as an index of its untested wires, the tested
-    wires being positions of the register [offset, offset + width)."""
+    wires being positions of the register on the last ``width`` wires."""
     if not tested:
         raise ValueError("a Hadamard test needs at least one tested wire")
     _check_wires(width, tested)
-    shape = [1 if w - offset in tested else 2 for w in range(n)]
+    shape = [1 if w - (n - width) in tested else 2 for w in range(n)]
     index = np.broadcast_to(np.arange(2 ** shape.count(2)).reshape(shape), (2,) * n).ravel()
     return _freeze(index)
 
@@ -344,14 +347,15 @@ def _p0(amplitudes: np.ndarray, group: np.ndarray, tested) -> float:
 def _fqind_plan(state: StateVector, wires: tuple[int, ...], m: int, ell: int, tested):
     """What an fqind weigh step reads of its template, built once per
     template: the |0>-response amplitudes of plaintexts x, the untested index
-    of (x << ell), and register 0's and register 1's selectors from x. Any
-    other layout is refused at every trial: no refusal is cached."""
+    of (x << ell), which is x's own untested index shifted past the response,
+    and register 0's and register 1's selectors from x. Any other layout is
+    refused at every trial: no refusal is cached."""
     plain = np.ascontiguousarray(state.amplitudes.reshape(-1, 2**ell)[:, 0])
     weight = np.vdot(plain, plain).real
     if wires != tuple(range(state.num_wires)) or abs(weight - state._squared_norm) > 1e-12:
         raise GameSetupError("fqind weigh steps read registers in order and a |0> response")
     x = np.arange(2 ** (2 * m))
-    hi = _untested_index(2 * m + ell, m, m, tested)[x << ell]
+    hi = _untested_index(2 * m, m, tested) << ell
     return _freeze(plain), _freeze(hi), (_freeze(x >> m), _freeze(x % 2**m))
 
 
@@ -367,7 +371,7 @@ def _weigh_fqind(scheme, key, ch: FqindChallenge, b, r, rng, tested):
 def _weigh_fresh(scheme, key, r, state: StateVector, tested):
     """(p0, total) of ``state`` encrypted into a fresh ell-wire register."""
     ell = scheme.ciphertext_bits
-    group = _untested_index(ell, 0, ell, tested)[_enc_table(scheme, key, r, injective=True)]
+    group = _untested_index(ell, ell, tested)[_enc_table(scheme, key, r, injective=True)]
     return _p0(state.amplitudes, group, tested), state._squared_norm
 
 
@@ -399,8 +403,9 @@ def _play(
 
     Draws from rng in a fixed order: key, adversary start, the padded
     queries' r values, ``learn``'s queries, challenge bit b, challenge
-    randomness r, then the challenge step, or the game's weigh step for a
-    trial declaring ``tested`` positions.
+    randomness r, then the challenge step. A trial declaring ``tested``
+    positions takes the game's weigh step instead, and the challenger draws
+    its guess from one uniform.
     """
     if game not in strategy.games:
         raise GameSetupError(f"strategy {strategy.name!r} does not play {game}")
@@ -420,11 +425,14 @@ def _play(
     check(scheme, template)
     b = int(rng.integers(2)) if challenge_bit is None else challenge_bit
     r = _fresh_randomness(scheme, rng) if challenge_randomness is None else challenge_randomness
-    if getattr(adv, "tested", None) is None or WEIGH_STEPS[game] is None:
+    weigh, tested = WEIGH_STEPS[game], getattr(adv, "tested", None)
+    if tested is None or weigh is None:
         adv.receive_challenge(challenge(scheme, key, template, b, r, rng))
+        g = _refused(_check_index, adv.final_guess(), "guess", 2)
     else:
-        adv.receive_weight(*WEIGH_STEPS[game](scheme, key, template, b, r, rng, adv.tested))
-    g = _refused(_check_index, adv.final_guess(), "guess", 2)
+        # measuring the tested wires draws 0 iff one uniform is below p0 / total
+        p0, total = weigh(scheme, key, template, b, r, rng, tested)
+        g = int(rng.random() >= p0 / total)
     return GameOutcome(
         game, b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count
     )
@@ -587,12 +595,15 @@ def _template(strategy, game: str, m: int, ell: int):
 
 class _FixedTrial:
     """One trial of a strategy with a ``descriptions(m)`` pair: its fqind,
-    qind and gqind templates come from ``_template``."""
+    qind and gqind templates come from ``_template``. ``tested`` holds the
+    strategy's ``tested_wires(scheme)``, or None when it has none."""
 
     def __init__(self, strategy, scheme: ClassicalScheme, rng: np.random.Generator) -> None:
         self._strategy = strategy
         self._scheme = scheme
         self._rng = rng
+        tested_wires = getattr(strategy, "tested_wires", None)
+        self.tested = None if tested_wires is None else tuple(tested_wires(scheme))
 
     def _fixed(self, game: str):
         scheme = self._scheme

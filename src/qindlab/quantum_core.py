@@ -562,6 +562,7 @@ def random_pure_bipartite(
     if wires_x < 1 or wires_y < 1:
         raise ValueError("both registers need at least one wire")
     n = wires_x + wires_y
+    _check_wire_count(n)
     vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, vec / np.linalg.norm(vec))
 
@@ -570,6 +571,7 @@ def maximally_entangled(m: int) -> StateVector:
     """2^(-m/2) sum_y |y>|y> on 2m wires."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_wire_count(2 * m)
     amp = np.zeros(2 ** (2 * m), dtype=np.complex128)
     y = np.arange(2**m)
     amp[(y << m) | y] = 2.0 ** (-m / 2)

@@ -216,8 +216,8 @@ def feistel_prp_family(block_bits: int, rounds: int = 4) -> PermutationFamily:
     Round i maps (L, R) -> (R, L ^ F(key, i, R)), where F is an independent
     random table per (key, round).
     """
-    if block_bits < 2 or block_bits % 2:
-        raise ValueError("block_bits must be even and >= 2")
+    if block_bits < 2 or block_bits % 2 or block_bits > WIRE_CAP:
+        raise ValueError(f"block_bits must be even and in 2..{WIRE_CAP}")
     if rounds < 4:
         raise ValueError("rounds must be >= 4")
     half = block_bits // 2

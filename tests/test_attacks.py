@@ -373,8 +373,9 @@ def test_zero_weight_refuses_an_empty_register():
 
 
 def test_trial_guess_is_the_measured_outcome():
-    """The trial's one uniform against p0 / total guesses what measuring the
-    Hadamard-rotated wires draws, and leaves the Generator where it does."""
+    """The runner's guess, at forced key, b and r, is what measuring the
+    Hadamard-rotated wires of the dense response draws on a twin Generator,
+    and both Generators end where the other does."""
     cases = (
         (bz_adversary(), "fqind", prf_scheme(2, 2)),
         (qlp_distinguisher(force=True), "gqind", prp_scheme(2, 2, ideal_prp_family(4))),
@@ -390,10 +391,11 @@ def test_trial_guess_is_the_measured_outcome():
             step = np.random.default_rng([seed, 1])
             key, b = scheme.gen(step), seed % 2
             r = int(step.integers(2**scheme.randomness_bits))
-            response = challenge(scheme, key, template, b, r, step)
-            drawn, measured = np.random.default_rng(seed), np.random.default_rng(seed)
-            trial = attack.start(scheme, drawn)
-            trial.receive_weight(*zero_weight(response, trial.tested))
+            played, measured = np.random.default_rng(seed), np.random.default_rng(seed)
+            guess = GAME_RUNNERS[game](
+                scheme, attack, played, key=key, challenge_bit=b, challenge_randomness=r
+            ).guess
+            response = challenge(scheme, key, template, b, r, measured)
             if isinstance(response, FqindChallenge):
                 state, register = response.state, response.message1_wires
             elif isinstance(response, GqindResponse):
@@ -403,7 +405,7 @@ def test_trial_guess_is_the_measured_outcome():
             wires = tuple(register[i] for i in tested)
             rotated = apply_unitary(hadamard_all(len(wires)), state, wires)
             outcome = _measure_block(rotated, wires, measured)[0]
-            assert trial.final_guess() == int(outcome != 0)
-            assert drawn.bit_generator.state == measured.bit_generator.state
-            guesses.add(trial.final_guess())
+            assert guess == int(outcome != 0)
+            assert played.bit_generator.state == measured.bit_generator.state
+            guesses.add(guess)
         assert guesses == {0, 1}, attack.name

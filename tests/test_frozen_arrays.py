@@ -41,7 +41,7 @@ def _frozen_arrays():
     yield "_ideal_table", schemes._ideal_table(5, 3)
     yield "_ideal_inverse", schemes._ideal_inverse(5, 3)
     yield "_plaintexts", schemes._plaintexts(3)
-    yield "_untested_index", games._untested_index(3, 0, 3, (1,))
+    yield "_untested_index", games._untested_index(3, 3, (1,))
     fqind = bz_adversary().template(scheme, "fqind")
     plain, hi, select = games._fqind_plan(fqind.state, tuple(range(8)), 2, 4, (0, 1))
     yield from (("plan amplitudes", plain), ("plan index", hi))

@@ -719,9 +719,8 @@ def test_key_table_caches_stay_bounded_over_fresh_keys():
     assert info.currsize <= info.maxsize
 
 
-# The benchmark's wide games: 14-wire fqind, whose register is contiguous at
-# challenge bit 1 and gapped at bit 0; qind on a 10-bit ideal PRP; 14-wire
-# gqind. Their seeded win counts are pinned: a changed draw, table or
+# The benchmark's wide games: 14-wire fqind, whose trials weigh Enc's table
+# through the template's plan; qind on a 10-bit ideal PRP; 14-wire gqind. Their seeded win counts are pinned: a changed draw, table or
 # permutation path shows here.
 WIDE_GAMES = (
     ("fqind", lambda: prf_scheme(3, 5), lambda: bz_adversary(), 37),
@@ -764,7 +763,10 @@ def _traced_peak(step) -> int:
 
 
 def test_gapped_fqind_trials_peak_no_higher_than_contiguous_ones():
-    # 14 wires: the register is gapped at challenge bit 0, contiguous at 1
+    # 14 wires: a trial weighs Enc's table through the plan at either challenge
+    # bit, and a b = 0 trial holds no more than a b = 1 trial; the gapped
+    # xor_encrypt_register step's own peak is pinned by
+    # test_encryption_steps_hold_their_output_and_one_index
     scheme, bz = prf_scheme(3, 5), bz_adversary()
     peak = [
         _traced_peak(

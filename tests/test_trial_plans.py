@@ -43,6 +43,21 @@ def test_a_run_of_trials_builds_one_plan():
     assert (info.misses, info.hits) == (1, 199)
 
 
+def test_an_fqind_plan_indexes_the_plaintext_pair_alone(monkeypatch):
+    # prf(3, 5): the pair's 2m = 6 wires, not the template's 14
+    built, cached = [], games._untested_index
+
+    def recorded(*args):
+        index = cached(*args)
+        built.append(index.size)
+        return index
+
+    monkeypatch.setattr(games, "_untested_index", recorded)
+    games._fqind_plan.cache_clear()
+    estimate_advantage(run_fqind_qcpa, prf_scheme(3, 5), bz_adversary(), 20, 4)
+    assert built == [2**6]
+
+
 def _colliding_scheme(m: int) -> ClassicalScheme:
     """Enc_k(x; r) = (x >> 1) ^ k ^ r into m + 1 bits: two plaintexts per
     ciphertext, so the plan's groups meet Enc values that collide."""

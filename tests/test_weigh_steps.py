@@ -189,7 +189,8 @@ def test_the_exact_evaluator_reads_the_weigh_step(monkeypatch, attack, scheme):
 
 def _dense_replay(game, scheme, strategy, rng, key=None, b=None, r=None) -> GameOutcome:
     """One trial in the runner's draw order, scored through the dense route:
-    the challenge step's response weighed by ``zero_weight``."""
+    the challenge step's response weighed by ``zero_weight``, then the
+    challenger's one uniform against p0 / total."""
     oracle_type, check, challenge = GAME_STEPS[game]
     key = scheme.gen(rng) if key is None else key
     adv = strategy.start(scheme, rng)
@@ -201,8 +202,8 @@ def _dense_replay(game, scheme, strategy, rng, key=None, b=None, r=None) -> Game
     check(scheme, template)
     b = int(rng.integers(2)) if b is None else b
     r = int(rng.integers(2**scheme.randomness_bits)) if r is None else r
-    adv.receive_weight(*zero_weight(challenge(scheme, key, template, b, r, rng), adv.tested))
-    g = adv.final_guess()
+    p0, total = zero_weight(challenge(scheme, key, template, b, r, rng), adv.tested)
+    g = int(rng.random() >= p0 / total)
     return GameOutcome(game, b, g, g == b, tuple(oracle.randomness_used) + (r,), oracle.query_count)
 
 
